@@ -101,7 +101,7 @@ fn sizing_from_args() -> Sizing {
 const VGG_SIZE: usize = 8;
 
 /// The benched model list — the *only* place it is written down. Every
-/// pass (timing, fused, serve, artifact, telemetry) iterates this list
+/// pass (timing, serve, artifact, telemetry) iterates this list
 /// via [`workloads`] or [`model_for`], so adding a model here adds it to
 /// all of them at once; a hand-maintained second table can no longer
 /// silently skip one pass.
@@ -251,32 +251,9 @@ fn speedup_floor(model: &str, accumulation: &str, scale: &str) -> f64 {
     }
 }
 
-/// Speedup floor for the `<model>+fused` cells: fused conv→pool
-/// conversion + level chaining vs. the unfused prepared pipeline
-/// (`with_fuse_pooling(false)`).
-///
-/// The software fusion win is bounded by the *serial tensor passes* it
-/// removes (transpose, BN, ReLU, pool, consumer re-quantize): the mode
-/// kernels compute every full-resolution pixel either way, because
-/// float-identity pins the per-pixel conversion order (DESIGN.md §16).
-/// On the single-core CI host those passes are a few percent of a
-/// compute-dominated forward (observed full-scale margins: 1.0–1.1×;
-/// the hardware's 4× converter saving is modeled in `geo_arch::perfsim`
-/// instead). The floor therefore only requires fusion to never become
-/// a slowdown — tightened to the observed margin at full scale, loose
-/// at smoke/quick where single-rep sub-millisecond cells are noise.
-fn fused_speedup_floor(scale: &str) -> f64 {
-    match scale {
-        "full" => 0.9,
-        _ => 0.7,
-    }
-}
-
 /// Gates the freshly re-read head snapshot against the per-mode floors:
 /// every cell must report `identical: true` and clear
-/// [`speedup_floor`] for its accumulation mode. `<model>+fused` cells
-/// (fused vs. unfused prepared forward) are gated by
-/// [`fused_speedup_floor`] instead. Serve cells carry their
+/// [`speedup_floor`] for its accumulation mode. Serve cells carry their
 /// own gate: `Serve64` throughput cells must show batched per-inference
 /// cost *strictly* below batch-1 (speedup > 1), `Serve8` and the
 /// `ServeLat*` latency records are informational. Collects *all*
@@ -297,16 +274,6 @@ fn check_thresholds(report: &Report) -> Result<(), String> {
         }
         if c.accumulation.starts_with("ServeLat") || c.accumulation == "Serve8" {
             continue; // latency/low-batch records: no floor
-        }
-        if c.model.ends_with("+fused") {
-            let floor = fused_speedup_floor(&report.scale);
-            if c.speedup < floor {
-                violations.push(format!(
-                    "{cell}: fused speedup {:.3}x is under the {} floor {floor:.2}x",
-                    c.speedup, report.scale
-                ));
-            }
-            continue;
         }
         if c.accumulation == "Serve64" {
             if c.speedup <= 1.0 {
@@ -513,87 +480,6 @@ fn serve_bench(
                 speedup: single.per_inf_ms / p.per_inf_ms,
                 identical: single.identical && p.identical,
             });
-        }
-    }
-    Ok(())
-}
-
-/// Fused-vs-unfused conv→pool cells (DESIGN.md §16): each workload ×
-/// accumulation mode is prepared twice — once with conv→pool fusion and
-/// level chaining disabled (`with_fuse_pooling(false)`), once on the
-/// default fused pipeline — and `PreparedModel::forward` is timed on
-/// both with interleaved best-of-reps, asserting bit-identical outputs
-/// on every rep. Cells land under the `<model>+fused` key so the run
-/// history tracks the fusion speedup separately from the compaction
-/// speedup, and [`check_thresholds`] gates them with
-/// [`fused_speedup_floor`].
-fn fused_bench(
-    base: GeoConfig,
-    threads: usize,
-    workloads: &[Workload],
-    cells: &mut Vec<Cell>,
-    expected: &mut Vec<(String, String, bool)>,
-) -> Result<(), String> {
-    println!("\nconv→pool fusion (prepared forward, unfused vs fused):");
-    println!(
-        "{:>14} {:>6} {:>12} {:>12} {:>12} {:>9}",
-        "model", "mode", "generation", "unfused", "fused", "speedup"
-    );
-    for w in workloads {
-        let (name, x) = (w.name, &w.input);
-        for mode in Accumulation::ALL {
-            let fused_name = format!("{name}+fused");
-            let context = format!("{fused_name} {mode:?}");
-            let config = base.with_accumulation(mode);
-            let mut model = w.model.clone();
-            model.set_training(false);
-            let prepare = |config: GeoConfig| -> Result<PreparedModel, String> {
-                let mut engine = ScEngine::new(config)
-                    .map_err(|e| format!("{context}: engine construction failed: {e}"))?;
-                engine
-                    .prepare(&model, x.shape())
-                    .map_err(|e| format!("{context}: prepare failed: {e}"))
-            };
-            let unfused = prepare(config.with_fuse_pooling(false))?;
-            let fused = prepare(config)?;
-            // Warm-up (page faults, thread pool spin-up) + bit-identity
-            // pin before any timing is trusted.
-            let out_unfused = unfused.forward(x).map_err(|e| format!("{context}: {e}"))?;
-            let out_fused = fused.forward(x).map_err(|e| format!("{context}: {e}"))?;
-            assert_identical(out_unfused.data(), out_fused.data(), &context);
-            let mut ms_before = f64::INFINITY;
-            let mut ms_after = f64::INFINITY;
-            for _ in 0..w.reps {
-                let t0 = Instant::now();
-                let a = unfused.forward(x).map_err(|e| format!("{context}: {e}"))?;
-                ms_before = ms_before.min(t0.elapsed().as_secs_f64() * 1e3);
-                let t0 = Instant::now();
-                let b = fused.forward(x).map_err(|e| format!("{context}: {e}"))?;
-                ms_after = ms_after.min(t0.elapsed().as_secs_f64() * 1e3);
-                assert_identical(a.data(), b.data(), &context);
-            }
-            let speedup = ms_before / ms_after;
-            let generation = if base.progressive {
-                "progressive"
-            } else {
-                "normal"
-            };
-            println!(
-                "{fused_name:>14} {:>6} {generation:>12} {ms_before:>10.3}ms {ms_after:>10.3}ms \
-                 {speedup:>8.2}x",
-                format!("{mode:?}"),
-            );
-            cells.push(Cell {
-                model: fused_name.clone(),
-                accumulation: format!("{mode:?}"),
-                progressive: base.progressive,
-                threads,
-                ms_before,
-                ms_after,
-                speedup,
-                identical: true,
-            });
-            expected.push((fused_name, format!("{mode:?}"), base.progressive));
         }
     }
     Ok(())
@@ -883,13 +769,6 @@ fn main() -> ExitCode {
                 expected.push((w.name.to_string(), format!("{mode:?}"), progressive));
             }
         }
-    }
-
-    // Fused conv→pool conversion vs. the unfused prepared pipeline —
-    // always measured, so the fusion gate rides every trajectory run.
-    if let Err(e) = fused_bench(base, threads, &workloads, &mut cells, &mut expected) {
-        eprintln!("bench_forward: {e}");
-        return ExitCode::FAILURE;
     }
 
     // Compile-once, serve-many measurement: appended to the same head

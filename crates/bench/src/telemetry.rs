@@ -154,7 +154,6 @@ fn parse_layer(v: &Value) -> Result<LayerTelemetry, String> {
         table_misses: get(fields, "table_misses")?.as_u64("table_misses")?,
         fault_events: get(fields, "fault_events")?.as_u64("fault_events")?,
         pingpong_bytes: get(fields, "pingpong_bytes")?.as_u64("pingpong_bytes")?,
-        conversions_skipped: get(fields, "conversions_skipped")?.as_u64("conversions_skipped")?,
         phase_ns,
     })
 }
@@ -207,7 +206,6 @@ mod tests {
                     table_misses: 5,
                     fault_events: 0,
                     pingpong_bytes: 128,
-                    conversions_skipped: 24,
                     phase_ns: [1_000_000, 250_000, 2_000_000, 0],
                 },
                 LayerTelemetry {
@@ -218,7 +216,6 @@ mod tests {
                     table_misses: 1,
                     fault_events: 2,
                     pingpong_bytes: 64,
-                    conversions_skipped: 0,
                     phase_ns: [0, 500_000, 0, 750_000],
                 },
             ],

@@ -466,6 +466,22 @@ mod tests {
     }
 
     #[test]
+    fn committed_history_with_retired_fused_cells_still_validates() {
+        // `<model>+fused` cells are no longer measured, but the recorded
+        // runs that carry them must keep parsing and validating.
+        let report = Report::from_json(include_str!("../../../BENCH_forward.json")).unwrap();
+        report.validate_cells(&[]).unwrap();
+        for id in ["pr9-fused", "pr10-vgg16"] {
+            let run = report.runs.iter().find(|r| r.run_id == id);
+            let cells = run.map_or(&[][..], |r| &r.cells[..]);
+            assert!(
+                cells.iter().any(|c| c.model.ends_with("+fused")),
+                "{id}: missing or without +fused cells"
+            );
+        }
+    }
+
+    #[test]
     fn validate_cells_rejects_malformed_history() {
         let mut report = sample();
         report.append_history(None, "pr7").unwrap();

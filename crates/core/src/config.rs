@@ -2,7 +2,6 @@
 
 use crate::error::GeoError;
 use geo_sc::{RngKind, SharingLevel, MAX_WIDTH, MIN_WIDTH};
-use serde::{Deserialize, Serialize};
 
 // The accumulation split is substrate-level vocabulary shared with
 // `geo-arch`; it lives in `geo-sc` and is re-exported here so
@@ -16,7 +15,7 @@ pub use geo_sc::Accumulation;
 /// them be shorter), other hidden layers run `stream_len`, and the output
 /// layer always runs `output_stream_len` (128 in the paper). The effective
 /// hardware stream is twice each value due to split-unipolar operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoConfig {
     /// RNG sharing policy across a layer's kernels.
     pub sharing: SharingLevel,
@@ -37,13 +36,6 @@ pub struct GeoConfig {
     pub bn_bits: Option<u8>,
     /// Base seed for the per-layer seed plans.
     pub base_seed: u32,
-    /// Fuse `Conv → [BatchNorm] → [ReLU] → AvgPool2d` chains into a single
-    /// prepared step that accumulates pooling windows in the counter domain
-    /// and converts once per pooled output (§III-A computation skipping),
-    /// and chain SC layers through quantized activation levels instead of
-    /// f32 round-trips. Float-identical to the unfused pipeline; disable
-    /// only to benchmark the unfused path.
-    pub fuse_pooling: bool,
 }
 
 impl GeoConfig {
@@ -69,7 +61,6 @@ impl GeoConfig {
             progressive: true,
             bn_bits: Some(8),
             base_seed: 0x9E37,
-            fuse_pooling: true,
         }
     }
 
@@ -86,7 +77,6 @@ impl GeoConfig {
             progressive: false,
             bn_bits: Some(8),
             base_seed: 0x9E37,
-            fuse_pooling: true,
         }
     }
 
@@ -153,13 +143,6 @@ impl GeoConfig {
         self.progressive = progressive;
         self
     }
-
-    /// Returns a copy with conv→pool fusion toggled (fused-vs-unfused
-    /// benchmarking and equivalence tests).
-    pub fn with_fuse_pooling(mut self, fuse_pooling: bool) -> Self {
-        self.fuse_pooling = fuse_pooling;
-        self
-    }
 }
 
 /// Configuration of the batched serving loop ([`crate::serve`]).
@@ -169,7 +152,7 @@ impl GeoConfig {
 /// [`PreparedModel`](crate::PreparedModel); the submission queue holds at
 /// most `queue_depth` requests before
 /// [`GeoError::ServeOverflow`](crate::GeoError) pushes back on callers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum requests fused into one batched forward pass.
     pub max_batch: usize,
@@ -245,15 +228,7 @@ mod tests {
         assert_eq!(c.output_stream_len, 128);
         assert!(c.progressive);
         assert_eq!(c.bn_bits, Some(8));
-        assert!(c.fuse_pooling);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn fuse_pooling_toggles_and_defaults_on() {
-        assert!(GeoConfig::geo(32, 64).fuse_pooling);
-        assert!(GeoConfig::acoustic(128).fuse_pooling);
-        assert!(!GeoConfig::geo(32, 64).with_fuse_pooling(false).fuse_pooling);
     }
 
     #[test]

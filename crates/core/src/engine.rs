@@ -42,10 +42,11 @@
 //! immutable, `Send + Sync`, `Arc`-shareable [`PreparedModel`] whose
 //! [`PreparedModel::forward`] borrows `&self` — the compile-once,
 //! serve-many entry point `geo_core::serve` batches requests against.
-//! [`ScEngine::forward`] itself is reimplemented as prepare-then-compute
-//! at inference (training keeps the interleaved loop so float layers can
-//! cache), which is what pins the prepared path bit-identical to every
-//! historical output.
+//! [`ScEngine::forward`] itself is prepare-then-compute at inference,
+//! which is what pins the prepared path bit-identical to every historical
+//! output. Training passes and [`ScEngine::forward_single_layer`] run each
+//! SC layer through the same per-layer prepare and step code, so there is
+//! one compute path for every pass.
 //!
 //! # Sparsity-compacted kernels (DESIGN.md §11)
 //!
@@ -600,63 +601,6 @@ fn act_level(progressive: bool, x: f32, width: u8) -> u32 {
     }
 }
 
-/// What a parametrized step materializes for the next step (DESIGN.md
-/// §16): an f32 tensor (`Float` — the network boundary default), or the
-/// next SC consumer's quantized activation levels (`Levels` — the
-/// resident integer pipeline, assigned at prepare time when every step in
-/// between is level-transparent: ReLU is absorbed because
-/// `act_level(clamp(v)) == act_level(v)`, Flatten because levels carry
-/// their shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Emit {
-    /// Materialize an f32 tensor (non-SC boundary or network output).
-    Float,
-    /// Materialize the downstream SC layer's activation levels directly,
-    /// quantized with *its* generation mode and width — the exact values
-    /// its `quantize_acts` would have produced from the f32 tensor.
-    Levels {
-        /// Consumer's progressive-generation flag.
-        progressive: bool,
-        /// Consumer's quantization width (`log2` of its stream length).
-        width: u8,
-    },
-}
-
-/// Quantized activation levels flowing between chained SC layers in
-/// place of an f32 tensor: the producing layer ran [`act_level`] once per
-/// produced pixel with the consumer's parameters, so the consumer skips
-/// its quantization pass entirely.
-struct LevelTensor {
-    /// Logical tensor shape the levels stand in for (reshaped by
-    /// Flatten, validated by the consumer like a tensor shape).
-    shape: Vec<usize>,
-    /// Quantized levels, tensor order.
-    levels: Vec<u32>,
-}
-
-/// The activation value moving between prepared steps: an f32 tensor or
-/// a chained [`LevelTensor`]. Which variant reaches which step is decided
-/// at prepare time ([`Emit`]); a `Levels` value reaching a float-only
-/// step is an internal invariant violation, not a user error.
-enum Flow {
-    Float(Tensor),
-    Levels(LevelTensor),
-}
-
-impl Flow {
-    /// Unwraps the f32 tensor, erroring on a chained value — used by the
-    /// float-only steps (batch norm, pooling, network output), which the
-    /// prepare-time chaining pass never feeds levels by construction.
-    fn into_float(self, ctx: &str) -> Result<Tensor, GeoError> {
-        match self {
-            Flow::Float(t) => Ok(t),
-            Flow::Levels(_) => Err(GeoError::Internal(format!(
-                "level-chained activations reached float-only {ctx}"
-            ))),
-        }
-    }
-}
-
 // The compute phase hands these to scoped worker threads by shared
 // reference, and `PreparedModel` is additionally shared across requests
 // (`Arc`, the serve path); pin the auto-trait obligations at compile time
@@ -669,8 +613,6 @@ const _: () = {
     assert_send_sync::<CompactKernel>();
     assert_send_sync::<PreparedConv>();
     assert_send_sync::<PreparedLinear>();
-    assert_send_sync::<Emit>();
-    assert_send_sync::<LevelTensor>();
     assert_send_sync::<PreparedModel>();
 };
 
@@ -678,7 +620,7 @@ const _: () = {
 /// Every slice aliases the [`CompactKernel`] SoA arrays directly — there
 /// is no per-row repacking; lanes whose input row falls outside the image
 /// read zero words from the shared [`ActBuf`] instead (see
-/// [`ResolvedConv::gather_row`]).
+/// [`PreparedConv::gather_row`]).
 struct RowView<'a> {
     n: usize,
     /// Per-lane base offsets into the gathered activations: lane `i` of
@@ -1221,35 +1163,6 @@ impl PreparedConv {
         Ok(ActBatch { n: s[0], levels })
     }
 
-    /// Accepts either activation form: an f32 tensor is quantized as
-    /// always; chained levels (produced upstream with this layer's width
-    /// and generation mode) skip quantization and only re-validate shape
-    /// and range, so `act_level` runs once per pixel across the chain.
-    fn accept(&self, flow: Flow) -> Result<ActBatch, GeoError> {
-        let lt = match flow {
-            Flow::Float(t) => return self.quantize_acts(&t),
-            Flow::Levels(lt) => lt,
-        };
-        let s = &lt.shape;
-        if s.len() != 4 || s[1] != self.cin {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, H, W)", self.cin),
-                actual: s.clone(),
-            }));
-        }
-        if s[2] != self.h || s[3] != self.w {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, {}, {})", self.cin, self.h, self.w),
-                actual: s.clone(),
-            }));
-        }
-        validate_act_levels(&self.act_tables, &lt.levels)?;
-        Ok(ActBatch {
-            n: lt.shape[0],
-            levels: lt.levels,
-        })
-    }
-
     /// Phase 2: computes the whole output tensor, parallelizing over
     /// spatial rows `(b, oy)` so one activation gather is shared by every
     /// output channel (DESIGN.md §14). Workers write a `[n, oh, cout, ow]`
@@ -1260,29 +1173,6 @@ impl PreparedConv {
     /// Infallible — every lookup the compacted kernels perform was
     /// validated at prepare/quantize time.
     fn compute(&self, batch: &ActBatch, tel: &LayerCounters) -> Tensor {
-        let tmp = self.compute_rows(batch, tel);
-        self.transpose_stage(&tmp, batch.n, self.oh, self.ow)
-    }
-
-    /// [`PreparedConv::compute`], emitting the downstream SC layer's
-    /// quantized levels instead of an f32 tensor: `act_level` runs inside
-    /// the serial transpose, so the chained consumer skips its whole
-    /// quantization pass. Values quantized are bit-identical to the f32
-    /// tensor [`PreparedConv::compute`] would have produced.
-    fn compute_levels(
-        &self,
-        batch: &ActBatch,
-        tel: &LayerCounters,
-        progressive: bool,
-        width: u8,
-    ) -> LevelTensor {
-        let tmp = self.compute_rows(batch, tel);
-        self.transpose_stage_levels(&tmp, batch.n, self.oh, self.ow, progressive, width)
-    }
-
-    /// The parallel half of [`PreparedConv::compute`]: fills the
-    /// `[n, oh, cout, ow]` staging buffer, one spatial row per chunk.
-    fn compute_rows(&self, batch: &ActBatch, tel: &LayerCounters) -> Vec<f32> {
         let row_elems = self.cout * self.ow;
         let mut tmp = vec![0f32; batch.n * self.oh * row_elems];
         tmp.par_chunks_mut(row_elems.max(1))
@@ -1304,101 +1194,25 @@ impl PreparedConv {
                     }
                 },
             );
-        tmp
+        self.transpose_stage(&tmp, batch.n)
     }
 
-    /// Fused conv→avg-pool compute (§III-A computation skipping): workers
-    /// produce both full-resolution rows of one *pooled* row, apply the
-    /// absorbed batch-norm affine and ReLU clamp per full-res pixel in
-    /// the exact unfused op order, and combine each 2×2 window once —
-    /// the full-resolution tensor is never materialized and the serial
-    /// transpose shrinks 4×. Returns the `[n, oh/2, cout, ow/2]` staging
-    /// buffer. Bit-identical to the unfused
-    /// compute → BnAffine::apply → clamp → `avg_pool2x2` pipeline: every
-    /// float op runs in the same order on the same values, and the mode
-    /// kernels (border masking, APC polarity paths included) are the
-    /// unfused ones via the shared [`PreparedConv::gather_row`].
-    fn compute_pooled(
-        &self,
-        batch: &ActBatch,
-        bn: Option<&BnAffine>,
-        relu: bool,
-        tel: &LayerCounters,
-    ) -> Vec<f32> {
-        let (poh, pow2) = (self.oh / 2, self.ow / 2);
-        let row_elems = self.cout * pow2;
-        let epi = FusedEpilogue { bn, relu };
-        let mut tmp = vec![0f32; batch.n * poh * row_elems];
-        tmp.par_chunks_mut(row_elems.max(1))
-            .enumerate()
-            .for_each_init(
-                || PoolWorker {
-                    scratch: self.scratch.take(),
-                    stage: vec![0f32; 2 * self.cout * self.ow],
-                },
-                |worker, (prow, chunk)| match self.mode {
-                    Accumulation::Or => self
-                        .compute_spatial_pooled::<OrKernel>(prow, chunk, batch, worker, epi, tel),
-                    Accumulation::Pbw | Accumulation::Pbhw => self
-                        .compute_spatial_pooled::<GroupedKernel>(
-                            prow, chunk, batch, worker, epi, tel,
-                        ),
-                    Accumulation::Fxp => self
-                        .compute_spatial_pooled::<FxpKernel>(prow, chunk, batch, worker, epi, tel),
-                    Accumulation::Apc => self
-                        .compute_spatial_pooled::<ApcKernel>(prow, chunk, batch, worker, epi, tel),
-                },
-            );
-        tmp
-    }
-
-    /// Serial transpose of a `[n, r, cout, c]` staging buffer into the
-    /// `[n, cout, r, c]` output tensor (`r`/`c` are full-resolution or
-    /// pooled dims).
-    fn transpose_stage(&self, tmp: &[f32], n: usize, r: usize, c: usize) -> Tensor {
-        let row_elems = self.cout * c;
-        let mut out = Tensor::zeros(&[n, self.cout, r, c]);
+    /// Serial transpose of the `[n, oh, cout, ow]` staging buffer into the
+    /// `[n, cout, oh, ow]` output tensor.
+    fn transpose_stage(&self, tmp: &[f32], n: usize) -> Tensor {
+        let row_elems = self.cout * self.ow;
+        let mut out = Tensor::zeros(&[n, self.cout, self.oh, self.ow]);
         let data = out.data_mut();
         for b in 0..n {
-            for y in 0..r {
-                let src = &tmp[(b * r + y) * row_elems..][..row_elems];
+            for oy in 0..self.oh {
+                let src = &tmp[(b * self.oh + oy) * row_elems..][..row_elems];
                 for co in 0..self.cout {
-                    let dst = ((b * self.cout + co) * r + y) * c;
-                    data[dst..dst + c].copy_from_slice(&src[co * c..][..c]);
+                    let dst = ((b * self.cout + co) * self.oh + oy) * self.ow;
+                    data[dst..dst + self.ow].copy_from_slice(&src[co * self.ow..][..self.ow]);
                 }
             }
         }
         out
-    }
-
-    /// [`PreparedConv::transpose_stage`] fused with the chained
-    /// consumer's [`act_level`] quantization.
-    fn transpose_stage_levels(
-        &self,
-        tmp: &[f32],
-        n: usize,
-        r: usize,
-        c: usize,
-        progressive: bool,
-        width: u8,
-    ) -> LevelTensor {
-        let row_elems = self.cout * c;
-        let mut levels = vec![0u32; n * self.cout * r * c];
-        for b in 0..n {
-            for y in 0..r {
-                let src = &tmp[(b * r + y) * row_elems..][..row_elems];
-                for co in 0..self.cout {
-                    let dst = ((b * self.cout + co) * r + y) * c;
-                    for (d, &v) in levels[dst..dst + c].iter_mut().zip(&src[co * c..][..c]) {
-                        *d = act_level(progressive, v, width);
-                    }
-                }
-            }
-        }
-        LevelTensor {
-            shape: vec![n, self.cout, r, c],
-            levels,
-        }
     }
 
     /// Gathers the activation words of every (kernel position, output
@@ -1482,30 +1296,10 @@ impl PreparedConv {
     ) {
         let oy = row % self.oh.max(1);
         let b = row / self.oh.max(1);
-        self.compute_row_into::<M>(b, oy, chunk, batch, scratch);
-        if telemetry::enabled() {
-            tel.macs.add(scratch.pix.macs);
-            scratch.pix.macs = 0;
-        }
-        scratch.debug_check();
-    }
-
-    /// Computes full-resolution spatial row `(b, oy)` into `out`
-    /// (`cout·ow`, channel-major): one shared activation gather, then each
-    /// output channel's pixels read the kernel's static SoA arrays. MACs
-    /// accumulate into `scratch.pix.macs`; the caller flushes them.
-    fn compute_row_into<M: ModeKernel>(
-        &self,
-        b: usize,
-        oy: usize,
-        out: &mut [f32],
-        batch: &ActBatch,
-        scratch: &mut Scratch,
-    ) {
         let ck = &self.compact;
         let Scratch { act, pix } = scratch;
         self.gather_row(b, oy, &batch.levels, act);
-        for (co, out_row) in out.chunks_mut(self.ow.max(1)).enumerate() {
+        for (co, out_row) in chunk.chunks_mut(self.ow.max(1)).enumerate() {
             let range = ck.row_range(co);
             let (pos_aoff, pos_w) = ck.row_pos_list(co);
             let (neg_aoff, neg_w) = ck.row_neg_list(co);
@@ -1532,75 +1326,12 @@ impl PreparedConv {
                 }
             }
         }
-    }
-
-    /// Computes one *pooled* output row `(b, poy)`: both full-resolution
-    /// rows land in the worker's staging buffer, the absorbed batch-norm
-    /// affine and ReLU clamp run per full-res pixel (same elementwise ops,
-    /// same order as the unfused steps), and each 2×2 window is combined
-    /// once in `avg_pool2x2`'s tap order.
-    fn compute_spatial_pooled<M: ModeKernel>(
-        &self,
-        prow: usize,
-        chunk: &mut [f32],
-        batch: &ActBatch,
-        worker: &mut PoolWorker<'_>,
-        epi: FusedEpilogue<'_>,
-        tel: &LayerCounters,
-    ) {
-        let poh = (self.oh / 2).max(1);
-        let pow2 = (self.ow / 2).max(1);
-        let poy = prow % poh;
-        let b = prow / poh;
-        let half_elems = self.cout * self.ow;
-        for half in 0..2 {
-            let stage_row = &mut worker.stage[half * half_elems..][..half_elems];
-            self.compute_row_into::<M>(b, 2 * poy + half, stage_row, batch, &mut worker.scratch);
-            for co in 0..self.cout {
-                let row = &mut stage_row[co * self.ow..][..self.ow];
-                if let Some(bn) = epi.bn {
-                    let (sc, sh) = (bn.scales[co], bn.shifts[co]);
-                    for v in row.iter_mut() {
-                        *v = sc * *v + sh;
-                    }
-                }
-                if epi.relu {
-                    for v in row.iter_mut() {
-                        *v = v.clamp(0.0, 1.0);
-                    }
-                }
-            }
-        }
-        let (s0, s1) = worker.stage.split_at(half_elems);
-        for (co, out_row) in chunk.chunks_mut(pow2).enumerate() {
-            let r0 = &s0[co * self.ow..][..self.ow];
-            let r1 = &s1[co * self.ow..][..self.ow];
-            for (pox, out_v) in out_row.iter_mut().enumerate() {
-                let sum = r0[2 * pox] + r0[2 * pox + 1] + r1[2 * pox] + r1[2 * pox + 1];
-                *out_v = sum / 4.0;
-            }
-        }
         if telemetry::enabled() {
-            tel.macs.add(worker.scratch.pix.macs);
-            worker.scratch.pix.macs = 0;
+            tel.macs.add(pix.macs);
+            pix.macs = 0;
         }
-        worker.scratch.debug_check();
+        scratch.debug_check();
     }
-}
-
-/// Per-worker state of the fused pooled compute: the pooled scratch plus
-/// the two-full-res-row staging buffer the 2×2 combine reads.
-struct PoolWorker<'a> {
-    scratch: PooledScratch<'a>,
-    stage: Vec<f32>,
-}
-
-/// The near-memory steps a fused conv→pool step absorbed, applied per
-/// full-resolution pixel before the pooled combine.
-#[derive(Clone, Copy)]
-struct FusedEpilogue<'a> {
-    bn: Option<&'a BnAffine>,
-    relu: bool,
 }
 
 impl PreparedLinear {
@@ -1621,25 +1352,6 @@ impl PreparedLinear {
             .collect();
         validate_act_levels(&self.act_tables, &levels)?;
         Ok(ActBatch { n, levels })
-    }
-
-    /// Accepts either activation form (see [`PreparedConv::accept`]).
-    fn accept(&self, flow: Flow) -> Result<ActBatch, GeoError> {
-        let lt = match flow {
-            Flow::Float(t) => return self.quantize_acts(&t),
-            Flow::Levels(lt) => lt,
-        };
-        if lt.shape.len() != 2 || lt.shape[1] != self.features {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {})", self.features),
-                actual: lt.shape.clone(),
-            }));
-        }
-        validate_act_levels(&self.act_tables, &lt.levels)?;
-        Ok(ActBatch {
-            n: lt.shape[0],
-            levels: lt.levels,
-        })
     }
 
     /// Phase 2: computes the whole output tensor. Output neurons
@@ -1681,27 +1393,6 @@ impl PreparedLinear {
                 },
             );
         out
-    }
-
-    /// [`PreparedLinear::compute`], emitting the downstream SC layer's
-    /// quantized levels (a serial map over the small `[n, outf]` output;
-    /// see [`PreparedConv::compute_levels`]).
-    fn compute_levels(
-        &self,
-        batch: &ActBatch,
-        tel: &LayerCounters,
-        progressive: bool,
-        width: u8,
-    ) -> LevelTensor {
-        let out = self.compute(batch, tel);
-        LevelTensor {
-            shape: vec![batch.n, self.outf],
-            levels: out
-                .data()
-                .iter()
-                .map(|&v| act_level(progressive, v, width))
-                .collect(),
-        }
     }
 
     /// Gathers batch element `b`'s activation words — one unit per input
@@ -1936,12 +1627,6 @@ impl ScEngine {
     /// "before" side of the `bench_forward` perf trajectory. Outputs are
     /// bit-for-bit equal to [`ScEngine::forward`] at every thread count.
     ///
-    /// Reference passes stay on the *unfused* pipeline by construction:
-    /// conv→pool fusion and level chaining are gated on
-    /// `!reference_kernels` in `prepare_with_lens`, so an oracle
-    /// comparison can never silently take the fast path it is supposed
-    /// to check.
-    ///
     /// # Errors
     ///
     /// Propagates substrate errors and shape mismatches, exactly as
@@ -1969,9 +1654,11 @@ impl ScEngine {
     /// Inference runs as prepare-then-compute through a one-shot
     /// [`PreparedModel`] — the same code the serve path reuses across
     /// requests, which is what pins that path bit-identical to every
-    /// historical `forward` output. Training keeps the interleaved
-    /// per-layer loop because float layers must run `&mut` forwards to
-    /// cache inputs for backward.
+    /// historical `forward` output. Training interleaves the float layers'
+    /// `&mut` forwards (which cache inputs for backward) with the same
+    /// per-layer prepare and [`PreparedStep::forward`] the prepared path
+    /// runs, so each SC layer's output is the inference output for the
+    /// same activations.
     pub(crate) fn forward_with_lens<F>(
         &mut self,
         model: &mut Sequential,
@@ -1987,16 +1674,38 @@ impl ScEngine {
             let prepared = self.prepare_with_lens(model, input.shape(), &mut len_for)?;
             let out = prepared.forward(input);
             // Fold the pass's locally accumulated counters back into the
-            // engine's reports, exactly as the interleaved loop recorded
-            // them in place.
+            // engine's reports.
             self.telemetry.absorb(&prepared.telemetry);
             self.resilience.absorb(&prepared.resilience);
             return out;
         }
+        let mut telemetry = EngineTelemetry::default();
+        let mut resilience = ResilienceReport::default();
+        let out = self.train_pass(model, input, &mut len_for, &mut telemetry, &mut resilience);
+        self.telemetry.absorb(&telemetry);
+        self.resilience.absorb(&resilience);
+        out
+    }
+
+    /// The training arm of [`ScEngine::forward_with_lens`], accumulating
+    /// counters into caller-supplied reports: float layers run forward to
+    /// cache their inputs, batch norm uses batch statistics, and each
+    /// parametrized layer's output is replaced by its SC result.
+    fn train_pass<F>(
+        &mut self,
+        model: &mut Sequential,
+        input: &Tensor,
+        len_for: &mut F,
+        telemetry: &mut EngineTelemetry,
+        resilience: &mut ResilienceReport,
+    ) -> Result<Tensor, GeoError>
+    where
+        F: FnMut(u32, usize) -> Result<usize, GeoError>,
+    {
         self.cache.begin_pass();
-        self.telemetry.passes.incr();
+        telemetry.passes.incr();
         if self.fault_model().is_some() {
-            self.resilience.passes += 1;
+            resilience.passes = 1;
         }
         model.set_training(true);
         let plan = self.stream_plan(model);
@@ -2004,20 +1713,18 @@ impl ScEngine {
         let mut param_layer = 0u32;
         for (i, layer) in model.layers_mut().iter_mut().enumerate() {
             match layer {
-                Layer::Conv2d(conv) => {
+                Layer::Conv2d(_) | Layer::Linear(_) => {
                     let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    let _ = conv.forward(&x)?; // cache input for backward
-                    let before = self.cache.fault_counters();
-                    x = self.sc_conv(conv, &x, len, param_layer)?;
-                    self.record_layer_faults(param_layer, before);
-                    param_layer += 1;
-                }
-                Layer::Linear(lin) => {
-                    let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    let _ = lin.forward(&x)?;
-                    let before = self.cache.fault_counters();
-                    x = self.sc_linear(lin, &x, len, param_layer)?;
-                    self.record_layer_faults(param_layer, before);
+                    let _ = layer.forward(&x)?; // cache input for backward
+                    let (step, _) = self.prepare_param_step(
+                        layer,
+                        x.shape(),
+                        len,
+                        param_layer,
+                        telemetry,
+                        resilience,
+                    )?;
+                    x = step.forward(x, telemetry, self.reference_kernels)?;
                     param_layer += 1;
                 }
                 Layer::BatchNorm2d(bn) => {
@@ -2033,7 +1740,7 @@ impl ScEngine {
                     let sw = Stopwatch::start();
                     x = other.forward(&x)?;
                     if telemetry::enabled() {
-                        self.telemetry
+                        telemetry
                             .layer(param_layer.saturating_sub(1) as usize)
                             .add_phase_ns(Phase::NearMem, sw.elapsed_ns());
                     }
@@ -2051,7 +1758,7 @@ impl ScEngine {
     /// after which any number of requests can run
     /// [`PreparedModel::forward`] concurrently against the shared state.
     ///
-    /// Table and fault-draw order matches the interleaved loop (compute
+    /// Table and fault-draw order matches a training pass (compute
     /// never touches the cache or RNG), so prepared outputs are
     /// bit-identical to direct forwards. One prepare consumes one cache
     /// pass: TRNG tables and transient faults are drawn here and then
@@ -2090,107 +1797,27 @@ impl ScEngine {
         if self.fault_model().is_some() {
             resilience.passes = 1;
         }
-        // Conv→pool fusion and level chaining are config-gated and never
-        // applied to reference prepares, which must stay on the unfused
-        // oracle path by construction.
-        let fuse = self.config.fuse_pooling && !self.reference_kernels;
         let layers = model.layers();
         let mut steps = Vec::with_capacity(layers.len());
         let mut shape: Vec<usize> = input_shape.to_vec();
         let mut param_layer = 0u32;
-        let mut i = 0;
-        while i < layers.len() {
+        for (i, layer) in layers.iter().enumerate() {
             // Near-memory steps are attributed to the parametrized layer
-            // whose outputs they transform, as in the interleaved loop.
+            // whose outputs they transform, as in the training loop.
             let tel_layer = param_layer.saturating_sub(1) as usize;
-            match &layers[i] {
-                Layer::Conv2d(conv) => {
+            match layer {
+                Layer::Conv2d(_) | Layer::Linear(_) => {
                     let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    if shape.len() != 4 || shape[1] != conv.cin() {
-                        return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                            expected: format!("(N, {}, H, W)", conv.cin()),
-                            actual: shape.clone(),
-                        }));
-                    }
-                    let before = self.cache.fault_counters();
-                    let (prep, stats) =
-                        self.prepare_conv(conv, (shape[2], shape[3]), len, param_layer)?;
-                    stats.apply(telemetry.layer(param_layer as usize));
-                    record_prepare_faults(
-                        &self.cache,
+                    let (step, out_shape) = self.prepare_param_step(
+                        layer,
+                        &shape,
+                        len,
                         param_layer,
-                        before,
                         &mut telemetry,
                         &mut resilience,
-                    );
-                    shape = vec![shape[0], prep.cout, prep.oh, prep.ow];
-                    // Fusion detection (§III-A): a `Conv → [BatchNorm] →
-                    // [ReLU] → AvgPool2d` run with even output dims fuses
-                    // into one step. Odd dims fall through — the unfused
-                    // AvgPool arm then raises the identical shape error.
-                    // Resolve order is unchanged: `prepare_conv` above drew
-                    // this layer's tables/faults, and `BnAffine::prepare`
-                    // touches neither the cache nor the RNG.
-                    if let Some((bn, relu, next)) = fuse
-                        .then(|| fusible_pool_run(layers, i + 1))
-                        .flatten()
-                        .filter(|_| prep.oh.is_multiple_of(2) && prep.ow.is_multiple_of(2))
-                    {
-                        let bn = bn
-                            .map(|b| {
-                                let affine = BnAffine::prepare(b, self.config.bn_bits)?;
-                                if shape[1] != affine.scales.len() {
-                                    return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                                        expected: format!("(N, {}, H, W)", affine.scales.len()),
-                                        actual: shape.clone(),
-                                    }));
-                                }
-                                Ok(affine)
-                            })
-                            .transpose()?;
-                        shape = vec![shape[0], prep.cout, prep.oh / 2, prep.ow / 2];
-                        steps.push(PreparedStep::ConvPooled {
-                            layer: prep,
-                            param_layer,
-                            bn,
-                            relu,
-                            emit: Emit::Float,
-                        });
-                        param_layer += 1;
-                        i = next;
-                        continue;
-                    }
-                    steps.push(PreparedStep::Conv {
-                        layer: prep,
-                        param_layer,
-                        emit: Emit::Float,
-                    });
-                    param_layer += 1;
-                }
-                Layer::Linear(lin) => {
-                    let len = len_for(param_layer, planned_len(&plan, i)?)?;
-                    if shape.len() != 2 || shape[1] != lin.input_features() {
-                        return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                            expected: format!("(N, {})", lin.input_features()),
-                            actual: shape.clone(),
-                        }));
-                    }
-                    let before = self.cache.fault_counters();
-                    let (prep, stats) = self.prepare_linear(lin, len, param_layer)?;
-                    stats.apply(telemetry.layer(param_layer as usize));
-                    record_prepare_faults(
-                        &self.cache,
-                        param_layer,
-                        before,
-                        &mut telemetry,
-                        &mut resilience,
-                    );
-                    shape = vec![shape[0], prep.outf];
-                    steps.push(PreparedStep::Linear {
-                        layer: prep,
-                        param_layer,
-                        emit: Emit::Float,
-                    });
+                    )?;
+                    steps.push(step);
+                    shape = out_shape;
                     param_layer += 1;
                 }
                 Layer::BatchNorm2d(bn) => {
@@ -2207,7 +1834,7 @@ impl ScEngine {
                 Layer::AvgPool2d(_) | Layer::MaxPool2d(_) => {
                     let (n, c, h, w) = pool_shape(&shape)?;
                     shape = vec![n, c, h / 2, w / 2];
-                    steps.push(if matches!(&layers[i], Layer::AvgPool2d(_)) {
+                    steps.push(if matches!(layer, Layer::AvgPool2d(_)) {
                         PreparedStep::AvgPool { tel_layer }
                     } else {
                         PreparedStep::MaxPool { tel_layer }
@@ -2225,10 +1852,6 @@ impl ScEngine {
                     steps.push(PreparedStep::Flatten { tel_layer });
                 }
             }
-            i += 1;
-        }
-        if fuse {
-            assign_level_chaining(&mut steps);
         }
         // Pre-size the per-layer counters: `PreparedModel::forward` only
         // holds `&self`, so it cannot grow the vector on first use. Near-
@@ -2263,13 +1886,9 @@ impl ScEngine {
     /// `layer_index` on the given activations — the building block of
     /// per-layer error analysis ([`crate::analyze`]).
     ///
-    /// Uses the same stream plan, seeds, and tables as a full forward, so
-    /// the result is bit-identical to that layer's contribution in
-    /// [`ScEngine::forward`]. Single-layer runs are *unfused by
-    /// construction* — they call the conv/linear datapath directly and
-    /// never build a `PreparedStep` sequence, so conv→pool fusion and
-    /// level chaining cannot apply and per-layer oracle comparisons see
-    /// the layer's raw full-resolution output.
+    /// Uses the same stream plan, seeds, tables, and per-layer prepare →
+    /// step code as a full forward, so the result is bit-identical to
+    /// that layer's contribution in [`ScEngine::forward`].
     ///
     /// # Errors
     ///
@@ -2292,12 +1911,71 @@ impl ScEngine {
             .iter()
             .filter(|l| matches!(l, Layer::Conv2d(_) | Layer::Linear(_)))
             .count() as u32;
+        let mut telemetry = EngineTelemetry::default();
+        let mut resilience = ResilienceReport::default();
+        let out = self
+            .prepare_param_step(
+                &model.layers()[layer_index],
+                input.shape(),
+                len,
+                param_layer,
+                &mut telemetry,
+                &mut resilience,
+            )
+            .and_then(|(step, _)| step.forward(input.clone(), &telemetry, self.reference_kernels));
+        self.telemetry.absorb(&telemetry);
+        self.resilience.absorb(&resilience);
+        out
+    }
+
+    /// Phase 1 for the parametrized layer `layer` fed activations of
+    /// `shape` — the one prepare path of prepared, training and
+    /// single-layer passes: checks the shape, prepares the layer into a
+    /// [`PreparedStep`], and folds its resolve counters and fault draws
+    /// into `telemetry`/`resilience`. Returns the step and its output
+    /// shape.
+    fn prepare_param_step(
+        &mut self,
+        layer: &Layer,
+        shape: &[usize],
+        len: usize,
+        param_layer: u32,
+        telemetry: &mut EngineTelemetry,
+        resilience: &mut ResilienceReport,
+    ) -> Result<(PreparedStep, Vec<usize>), GeoError> {
         let before = self.cache.fault_counters();
-        // Layers are borrowed, not cloned: the resolve phase only reads
-        // weights, so nothing here needs `&mut` access to the model.
-        let out = match &model.layers()[layer_index] {
-            Layer::Conv2d(conv) => self.sc_conv(conv, input, len, param_layer),
-            Layer::Linear(lin) => self.sc_linear(lin, input, len, param_layer),
+        let (step, out_shape, stats) = match layer {
+            Layer::Conv2d(conv) => {
+                if shape.len() != 4 || shape[1] != conv.cin() {
+                    return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
+                        expected: format!("(N, {}, H, W)", conv.cin()),
+                        actual: shape.to_vec(),
+                    }));
+                }
+                let (prep, stats) =
+                    self.prepare_conv(conv, (shape[2], shape[3]), len, param_layer)?;
+                let out_shape = vec![shape[0], prep.cout, prep.oh, prep.ow];
+                let step = PreparedStep::Conv {
+                    layer: prep,
+                    param_layer,
+                };
+                (step, out_shape, stats)
+            }
+            Layer::Linear(lin) => {
+                if shape.len() != 2 || shape[1] != lin.input_features() {
+                    return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
+                        expected: format!("(N, {})", lin.input_features()),
+                        actual: shape.to_vec(),
+                    }));
+                }
+                let (prep, stats) = self.prepare_linear(lin, len, param_layer)?;
+                let out_shape = vec![shape[0], prep.outf];
+                let step = PreparedStep::Linear {
+                    layer: prep,
+                    param_layer,
+                };
+                (step, out_shape, stats)
+            }
             other => {
                 return Err(GeoError::Internal(format!(
                     "stream plan assigned a length to non-parametrized layer {}",
@@ -2305,20 +1983,9 @@ impl ScEngine {
                 )))
             }
         };
-        self.record_layer_faults(param_layer, before);
-        out
-    }
-
-    /// Attributes faults injected since the `before` snapshot to
-    /// `param_layer`.
-    fn record_layer_faults(&mut self, param_layer: u32, before: FaultCounters) {
-        record_prepare_faults(
-            &self.cache,
-            param_layer,
-            before,
-            &mut self.telemetry,
-            &mut self.resilience,
-        );
+        stats.apply(telemetry.layer(param_layer as usize));
+        record_prepare_faults(&self.cache, param_layer, before, telemetry, resilience);
+        Ok((step, out_shape))
     }
 
     fn layer_seed(&self, param_layer: u32) -> u32 {
@@ -2353,58 +2020,6 @@ impl ScEngine {
             let shift = 8 - width.min(8);
             (pos >> shift, neg >> shift)
         }
-    }
-
-    /// Stochastic convolution of one layer: serial resolve, then
-    /// per-request quantize + parallel compute (the prepared pipeline run
-    /// end to end for a single call).
-    fn sc_conv(
-        &mut self,
-        conv: &Conv2d,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<Tensor, GeoError> {
-        let resolved = self.resolve_conv(conv, input, len, param_layer)?;
-        let reference = self.reference_kernels;
-        let tel = self.telemetry.layer(param_layer as usize);
-        let sw = Stopwatch::start();
-        let batch = resolved.quantize_acts(input)?;
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-        }
-        let sw = Stopwatch::start();
-        let out = if reference {
-            resolved.compute_reference(&batch, tel)
-        } else {
-            Ok(resolved.compute(&batch, tel))
-        };
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-        }
-        out
-    }
-
-    /// Single-call form of [`Self::prepare_conv`]: checks the input's
-    /// shape, prepares the layer, and folds the resolve counters into the
-    /// engine's own telemetry.
-    fn resolve_conv(
-        &mut self,
-        conv: &Conv2d,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<PreparedConv, GeoError> {
-        let s = input.shape();
-        if s.len() != 4 || s[1] != conv.cin() {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {}, H, W)", conv.cin()),
-                actual: s.to_vec(),
-            }));
-        }
-        let (prepared, stats) = self.prepare_conv(conv, (s[2], s[3]), len, param_layer)?;
-        stats.apply(self.telemetry.layer(param_layer as usize));
-        Ok(prepared)
     }
 
     /// Phase 1 for a convolution: builds/fetches every lane table through
@@ -2545,58 +2160,9 @@ impl ScEngine {
         ))
     }
 
-    /// Stochastic fully-connected layer: features map onto a pseudo-kernel
-    /// of width [`FC_BINARY_WIDTH`], so the accumulation split applies.
-    /// Serial resolve, parallel compute.
-    fn sc_linear(
-        &mut self,
-        lin: &Linear,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<Tensor, GeoError> {
-        let resolved = self.resolve_linear(lin, input, len, param_layer)?;
-        let reference = self.reference_kernels;
-        let tel = self.telemetry.layer(param_layer as usize);
-        let sw = Stopwatch::start();
-        let batch = resolved.quantize_acts(input)?;
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-        }
-        let sw = Stopwatch::start();
-        let out = if reference {
-            resolved.compute_reference(&batch, tel)
-        } else {
-            Ok(resolved.compute(&batch, tel))
-        };
-        if telemetry::enabled() {
-            tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-        }
-        out
-    }
-
-    /// Single-call form of [`Self::prepare_linear`] (see
-    /// [`Self::resolve_conv`]).
-    fn resolve_linear(
-        &mut self,
-        lin: &Linear,
-        input: &Tensor,
-        len: usize,
-        param_layer: u32,
-    ) -> Result<PreparedLinear, GeoError> {
-        let s = input.shape();
-        if s.len() != 2 || s[1] != lin.input_features() {
-            return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                expected: format!("(N, {})", lin.input_features()),
-                actual: s.to_vec(),
-            }));
-        }
-        let (prepared, stats) = self.prepare_linear(lin, len, param_layer)?;
-        stats.apply(self.telemetry.layer(param_layer as usize));
-        Ok(prepared)
-    }
-
-    /// Phase 1 for a fully-connected layer (see [`Self::prepare_conv`]).
+    /// Phase 1 for a fully-connected layer (see [`Self::prepare_conv`]):
+    /// features map onto a pseudo-kernel of width [`FC_BINARY_WIDTH`], so
+    /// the accumulation split applies.
     fn prepare_linear(
         &mut self,
         lin: &Linear,
@@ -2991,8 +2557,7 @@ mod reference {
 
 /// Plain counters produced by the serial prepare phase. Returned by value
 /// (rather than written into `self.telemetry` in place) so the caller can
-/// fold them into whichever telemetry block owns the layer: the engine's
-/// for direct forwards, a [`PreparedModel`]'s for prepare-once serving.
+/// fold them into the telemetry block of the pass being prepared.
 #[derive(Default)]
 struct ResolveStats {
     resolve_ns: u64,
@@ -3103,9 +2668,9 @@ fn pool_shape(s: &[usize]) -> Result<(usize, usize, usize, usize), GeoError> {
     geo_nn::pool2x2_shape(s).map_err(GeoError::Nn)
 }
 
-/// 2×2 average pool: the single shared `geo_nn::avg_pool2x2` kernel (the
-/// fused conv→pool path's oracle), borrowing the input immutably — the
-/// prepared path cannot run `&mut` layer forwards.
+/// 2×2 average pool: the single shared `geo_nn::avg_pool2x2` kernel,
+/// borrowing the input immutably — the prepared path cannot run `&mut`
+/// layer forwards.
 fn avg_pool_eval(x: &Tensor) -> Result<Tensor, GeoError> {
     geo_nn::avg_pool2x2(x).map_err(GeoError::Nn)
 }
@@ -3129,69 +2694,6 @@ fn flatten_eval(x: &Tensor) -> Result<Tensor, GeoError> {
     x.clone().reshape(vec![n, rest]).map_err(GeoError::Nn)
 }
 
-/// Scans a fusible `[BatchNorm2d] → [ReLU] → AvgPool2d` run starting at
-/// `layers[from]` (each prefix step optional, the average pool required):
-/// returns the optional batch-norm layer, the ReLU flag, and the index
-/// one past the consumed pool. `None` when the run does not end in an
-/// adjacent average pool — max pools and non-adjacent pools stay unfused.
-fn fusible_pool_run(
-    layers: &[Layer],
-    from: usize,
-) -> Option<(Option<&geo_nn::BatchNorm2d>, bool, usize)> {
-    let mut j = from;
-    let mut bn = None;
-    if let Some(Layer::BatchNorm2d(b)) = layers.get(j) {
-        bn = Some(b);
-        j += 1;
-    }
-    let mut relu = false;
-    if let Some(Layer::Relu(_)) = layers.get(j) {
-        relu = true;
-        j += 1;
-    }
-    match layers.get(j) {
-        Some(Layer::AvgPool2d(_)) => Some((bn, relu, j + 1)),
-        _ => None,
-    }
-}
-
-/// Prepare-time level-chaining pass (DESIGN.md §16): for each SC producer
-/// whose downstream steps up to the next SC consumer are all
-/// level-transparent — ReLU, because `act_level(clamp(v)) ==
-/// act_level(v)`; Flatten, because levels carry their logical shape —
-/// switch its [`Emit`] to the consumer's quantized levels, keeping
-/// activations resident in the integer domain across the chain.
-fn assign_level_chaining(steps: &mut [PreparedStep]) {
-    for idx in 0..steps.len() {
-        let mut j = idx + 1;
-        let target = loop {
-            match steps.get(j) {
-                Some(PreparedStep::Relu | PreparedStep::Flatten { .. }) => j += 1,
-                Some(PreparedStep::Conv { layer, .. } | PreparedStep::ConvPooled { layer, .. }) => {
-                    break Some(Emit::Levels {
-                        progressive: layer.progressive,
-                        width: layer.width,
-                    })
-                }
-                Some(PreparedStep::Linear { layer, .. }) => {
-                    break Some(Emit::Levels {
-                        progressive: layer.progressive,
-                        width: layer.width,
-                    })
-                }
-                _ => break None,
-            }
-        };
-        let Some(levels) = target else { continue };
-        match &mut steps[idx] {
-            PreparedStep::Conv { emit, .. }
-            | PreparedStep::ConvPooled { emit, .. }
-            | PreparedStep::Linear { emit, .. } => *emit = levels,
-            _ => {}
-        }
-    }
-}
-
 /// One step of a compiled network: either a prepared parametrized layer
 /// or a pure near-memory evaluation. Exhaustive over every
 /// `geo_nn::Layer` variant, so adding a layer kind fails compilation here
@@ -3200,27 +2702,10 @@ enum PreparedStep {
     Conv {
         layer: PreparedConv,
         param_layer: u32,
-        emit: Emit,
-    },
-    /// A `Conv → [BatchNorm] → [ReLU] → AvgPool2d` chain fused at prepare
-    /// time (§III-A computation skipping): the mode kernels produce
-    /// full-resolution counts per worker, the absorbed near-memory steps
-    /// run per pixel, and each 2×2 window converts once. Absorbed steps
-    /// need no `tel_layer` — they attributed to this conv's `param_layer`
-    /// unfused too.
-    ConvPooled {
-        layer: PreparedConv,
-        param_layer: u32,
-        /// Absorbed batch-norm affine, applied per full-res pixel.
-        bn: Option<BnAffine>,
-        /// Absorbed ReLU clamp, applied per full-res pixel.
-        relu: bool,
-        emit: Emit,
     },
     Linear {
         layer: PreparedLinear,
         param_layer: u32,
-        emit: Emit,
     },
     BatchNorm {
         affine: BnAffine,
@@ -3237,6 +2722,77 @@ enum PreparedStep {
     Flatten {
         tel_layer: usize,
     },
+}
+
+impl PreparedStep {
+    /// Runs this step on `x` — the one per-step compute function behind
+    /// [`PreparedModel::forward`], training passes and
+    /// [`ScEngine::forward_single_layer`]. A parametrized step quantizes
+    /// `x` ([`PreparedConv::quantize_acts`]), then computes with the
+    /// compacted kernels or, when `reference` is set, the pre-compaction
+    /// [`reference`] kernels. `telemetry` must already cover the step's
+    /// `param_layer` (the prepare that built the step sized it).
+    fn forward(
+        &self,
+        x: Tensor,
+        telemetry: &EngineTelemetry,
+        reference: bool,
+    ) -> Result<Tensor, GeoError> {
+        match self {
+            PreparedStep::Conv { layer, param_layer } => {
+                let idx = *param_layer as usize;
+                let tel = telemetry.layer_shared(idx);
+                let batch = timed(telemetry, idx, Phase::Convert, || layer.quantize_acts(&x))?;
+                timed(telemetry, idx, Phase::Compute, || {
+                    if reference {
+                        layer.compute_reference(&batch, tel)
+                    } else {
+                        Ok(layer.compute(&batch, tel))
+                    }
+                })
+            }
+            PreparedStep::Linear { layer, param_layer } => {
+                let idx = *param_layer as usize;
+                let tel = telemetry.layer_shared(idx);
+                let batch = timed(telemetry, idx, Phase::Convert, || layer.quantize_acts(&x))?;
+                timed(telemetry, idx, Phase::Compute, || {
+                    if reference {
+                        layer.compute_reference(&batch, tel)
+                    } else {
+                        Ok(layer.compute(&batch, tel))
+                    }
+                })
+            }
+            PreparedStep::BatchNorm { affine, tel_layer } => {
+                timed(telemetry, *tel_layer, Phase::NearMem, || affine.apply(&x))
+            }
+            // ReLU, then saturate at 1.0: unipolar streams cannot carry
+            // more (the straight-through clamp SC training learns around).
+            PreparedStep::Relu => Ok(x.map(|v| v.clamp(0.0, 1.0))),
+            PreparedStep::AvgPool { tel_layer } => {
+                timed(telemetry, *tel_layer, Phase::NearMem, || avg_pool_eval(&x))
+            }
+            PreparedStep::MaxPool { tel_layer } => {
+                timed(telemetry, *tel_layer, Phase::NearMem, || max_pool_eval(&x))
+            }
+            PreparedStep::Flatten { tel_layer } => {
+                timed(telemetry, *tel_layer, Phase::NearMem, || flatten_eval(&x))
+            }
+        }
+    }
+}
+
+/// Runs `f`, adding its wall-clock time to `phase` of telemetry layer
+/// `layer` when telemetry is enabled (the block is only touched then).
+fn timed<T>(telemetry: &EngineTelemetry, layer: usize, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let sw = Stopwatch::start();
+    let out = f();
+    if telemetry::enabled() {
+        telemetry
+            .layer_shared(layer)
+            .add_phase_ns(phase, sw.elapsed_ns());
+    }
+    out
 }
 
 /// A network compiled once for serving: every input-independent resolve
@@ -3310,19 +2866,6 @@ impl PreparedModel {
         self.telemetry.report("prepared-model")
     }
 
-    /// Number of `Conv → [BatchNorm] → [ReLU] → AvgPool2d` chains the
-    /// prepare pass collapsed into fused steps (§III-A pooled-conversion
-    /// skipping, DESIGN.md §16). Zero when fusion is disabled or no
-    /// avg-pool sits directly behind a conv block — max pools never
-    /// fuse. Lets callers assert fusion actually engaged on a workload
-    /// instead of inferring it from timing.
-    pub fn fused_conv_pool_steps(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, PreparedStep::ConvPooled { .. }))
-            .count()
-    }
-
     /// Runs one request through the compiled network — pure compute
     /// against immutable prepared state, callable concurrently from any
     /// number of threads (`&self`).
@@ -3333,167 +2876,11 @@ impl PreparedModel {
     /// against the prepared shape) and substrate errors.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, GeoError> {
         self.telemetry.passes.incr();
-        let mut flow = Flow::Float(input.clone());
+        let mut x = input.clone();
         for step in &self.steps {
-            match step {
-                PreparedStep::Conv {
-                    layer,
-                    param_layer,
-                    emit,
-                } => {
-                    let tel = self.telemetry.layer_shared(*param_layer as usize);
-                    let sw = Stopwatch::start();
-                    let batch = layer.accept(flow)?;
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-                    }
-                    let sw = Stopwatch::start();
-                    flow = if self.reference {
-                        // Reference models never level-chain (the chaining
-                        // pass is gated off), so `emit` is always `Float`.
-                        debug_assert_eq!(*emit, Emit::Float);
-                        Flow::Float(layer.compute_reference(&batch, tel)?)
-                    } else {
-                        match *emit {
-                            Emit::Float => Flow::Float(layer.compute(&batch, tel)),
-                            Emit::Levels { progressive, width } => {
-                                Flow::Levels(layer.compute_levels(&batch, tel, progressive, width))
-                            }
-                        }
-                    };
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-                    }
-                }
-                PreparedStep::ConvPooled {
-                    layer,
-                    param_layer,
-                    bn,
-                    relu,
-                    emit,
-                } => {
-                    // Fusion is gated off for reference prepares
-                    // (`ScEngine::forward_reference`), so the oracle always
-                    // takes the unfused `Conv` + near-memory steps.
-                    debug_assert!(!self.reference, "reference models never fuse");
-                    let tel = self.telemetry.layer_shared(*param_layer as usize);
-                    let sw = Stopwatch::start();
-                    let batch = layer.accept(flow)?;
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-                    }
-                    let sw = Stopwatch::start();
-                    let (poh, pow2) = (layer.oh / 2, layer.ow / 2);
-                    let tmp = layer.compute_pooled(&batch, bn.as_ref(), *relu, tel);
-                    if telemetry::enabled() {
-                        // §III-A skipped conversions, counted serially (one
-                        // add per pass) so the total is thread-invariant:
-                        // every full-res pixel beyond the pooled outputs.
-                        let skipped = batch.n * layer.cout * (layer.oh * layer.ow - poh * pow2);
-                        tel.conversions_skipped.add(skipped as u64);
-                    }
-                    flow = match *emit {
-                        Emit::Float => Flow::Float(layer.transpose_stage(&tmp, batch.n, poh, pow2)),
-                        Emit::Levels { progressive, width } => {
-                            Flow::Levels(layer.transpose_stage_levels(
-                                &tmp,
-                                batch.n,
-                                poh,
-                                pow2,
-                                progressive,
-                                width,
-                            ))
-                        }
-                    };
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-                    }
-                }
-                PreparedStep::Linear {
-                    layer,
-                    param_layer,
-                    emit,
-                } => {
-                    let tel = self.telemetry.layer_shared(*param_layer as usize);
-                    let sw = Stopwatch::start();
-                    let batch = layer.accept(flow)?;
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Convert, sw.elapsed_ns());
-                    }
-                    let sw = Stopwatch::start();
-                    flow = if self.reference {
-                        debug_assert_eq!(*emit, Emit::Float);
-                        Flow::Float(layer.compute_reference(&batch, tel)?)
-                    } else {
-                        match *emit {
-                            Emit::Float => Flow::Float(layer.compute(&batch, tel)),
-                            Emit::Levels { progressive, width } => {
-                                Flow::Levels(layer.compute_levels(&batch, tel, progressive, width))
-                            }
-                        }
-                    };
-                    if telemetry::enabled() {
-                        tel.add_phase_ns(Phase::Compute, sw.elapsed_ns());
-                    }
-                }
-                PreparedStep::BatchNorm { affine, tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = Flow::Float(affine.apply(&flow.into_float("batch norm")?)?);
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-                PreparedStep::Relu => {
-                    // ReLU, then saturate at 1.0: unipolar streams cannot
-                    // carry more (the straight-through clamp SC training
-                    // learns around). On a chained level flow this is a
-                    // no-op: `act_level` already clamps to [0, 1], so
-                    // `act_level(clamp(v)) == act_level(v)`.
-                    if let Flow::Float(x) = flow {
-                        flow = Flow::Float(x.map(|v| v.clamp(0.0, 1.0)));
-                    }
-                }
-                PreparedStep::AvgPool { tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = Flow::Float(avg_pool_eval(&flow.into_float("average pool")?)?);
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-                PreparedStep::MaxPool { tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = Flow::Float(max_pool_eval(&flow.into_float("max pool")?)?);
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-                PreparedStep::Flatten { tel_layer } => {
-                    let sw = Stopwatch::start();
-                    flow = match flow {
-                        Flow::Float(x) => Flow::Float(flatten_eval(&x)?),
-                        // Levels carry their logical shape: flattening is
-                        // a metadata reshape, no data pass at all.
-                        Flow::Levels(mut lt) => {
-                            if lt.shape.len() < 2 {
-                                return Err(GeoError::Nn(geo_nn::NnError::ShapeMismatch {
-                                    expected: "at least 2-d".into(),
-                                    actual: lt.shape.clone(),
-                                }));
-                            }
-                            let rest: usize = lt.shape[1..].iter().product();
-                            lt.shape = vec![lt.shape[0], rest];
-                            Flow::Levels(lt)
-                        }
-                    };
-                    self.flush_near_mem(*tel_layer, sw);
-                }
-            }
+            x = step.forward(x, &self.telemetry, self.reference)?;
         }
-        // The chaining pass only assigns `Levels` when a downstream SC
-        // consumer exists, so the network output is always a float tensor.
-        flow.into_float("network output")
-    }
-
-    fn flush_near_mem(&self, tel_layer: usize, sw: Stopwatch) {
-        if telemetry::enabled() {
-            self.telemetry
-                .layer_shared(tel_layer)
-                .add_phase_ns(Phase::NearMem, sw.elapsed_ns());
-        }
+        Ok(x)
     }
 }
 
@@ -3702,9 +3089,8 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let conv = geo_nn::Conv2d::new(2, 3, 3, 1, 1, false, &mut rng);
-        let x = Tensor::full(&[1, 2, 5, 5], 0.5);
         let mut eng = engine(GeoConfig::geo(32, 32));
-        let rc = eng.resolve_conv(&conv, &x, 32, 0).unwrap();
+        let (rc, _) = eng.prepare_conv(&conv, (5, 5), 32, 0).unwrap();
         let k = conv.kernel();
         for (p, &lane) in rc.compact.lane.iter().enumerate() {
             assert_eq!(rc.compact.aoff[p] as usize, lane * rc.ow);
@@ -3715,8 +3101,7 @@ mod tests {
             assert_eq!(rc.pos_kx[lane] as usize, lane % k);
         }
         let lin = geo_nn::Linear::new(12, 4, &mut rng);
-        let xl = Tensor::full(&[2, 12], 0.5);
-        let rl = eng.resolve_linear(&lin, &xl, 32, 0).unwrap();
+        let (rl, _) = eng.prepare_linear(&lin, 32, 0).unwrap();
         assert_eq!(rl.pos_ao.len(), rl.features);
         for (p, &lane) in rl.compact.lane.iter().enumerate() {
             assert_eq!(rl.compact.aoff[p] as usize, lane);
@@ -3774,13 +3159,12 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let conv = geo_nn::Conv2d::new(2, 3, 3, 1, 1, false, &mut rng);
-        let x = Tensor::full(&[1, 2, 5, 5], 0.5);
         let mut eng = engine(GeoConfig::geo(32, 32));
         // Reference resolve keeps per-lane word copies in the WeightRefs,
         // giving this test an independent source of truth for the packed
         // position-major layout.
         eng.reference_kernels = true;
-        let resolved = eng.resolve_conv(&conv, &x, 32, 0).unwrap();
+        let (resolved, _) = eng.prepare_conv(&conv, (5, 5), 32, 0).unwrap();
         let ck = &resolved.compact;
         let words = resolved.words;
         let nonzero: usize = resolved.wrefs.iter().filter(|w| !w.is_zero()).count();

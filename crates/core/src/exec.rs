@@ -283,13 +283,6 @@ impl ProgramExecutor {
     /// [`ProgramExecutor::forward`] does, so serving from the prepared
     /// model stays bit-identical to program-driven forwards.
     ///
-    /// Conv→pool fusion and level chaining (DESIGN.md §16) are inherited
-    /// from the shared prepare loop: the compiled ISA is untouched (the
-    /// compiler already models pooled layers via shorter `sp` streams
-    /// and quartered writeback), and the tile-coverage/stream-length
-    /// validation above runs on the *program*, before fusion rewrites
-    /// the step sequence — so it is unchanged by the fused path.
-    ///
     /// # Errors
     ///
     /// As [`ProgramExecutor::forward`]: layer-count mismatch, shape

@@ -16,11 +16,8 @@
 //! work with [`GeoError::ServeOverflow`] instead of growing without
 //! bound.
 //!
-//! The dispatcher is agnostic to conv→pool fusion (DESIGN.md §16): a
-//! `PreparedModel` prepared with `fuse_pooling` on simply carries
-//! `ConvPooled`/level-chained steps, and every batched or unbatched
-//! request takes the fused path with bit-identical outputs — no serve
-//! code dispatches on it.
+//! Batched and unbatched requests run the same [`PreparedModel::forward`]
+//! steps as a direct forward, so outputs are bit-identical either way.
 //!
 //! [`ScEngine::prepare`]: crate::ScEngine::prepare
 //!

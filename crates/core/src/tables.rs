@@ -28,14 +28,6 @@
 //! `RngKind::Trng` or a transient fault model, serve-path outputs are
 //! bit-identical to the *first* direct forward after the same engine
 //! state, not to a fresh pass each time.
-//!
-//! Conv→pool fusion and level chaining (DESIGN.md §16) also happen at
-//! prepare time, *inside* the same frozen pass: the fused
-//! `ConvPooled` step's tables and fault draws are made exactly where
-//! the unfused conv's would have been (the absorbed batch-norm/ReLU
-//! steps touch neither the cache nor the RNG), so fusing changes
-//! nothing about which draws a pass makes or the order it makes them
-//! in.
 
 use crate::error::GeoError;
 use geo_sc::fault::{self, FaultCounters, FaultInjector};

@@ -24,7 +24,6 @@
 //! | `table_hits` / `table_misses` | a stream-table lookup is served from / misses the [`TableCache`](crate::TableCache) |
 //! | `fault_events` | a fault is injected while the layer's tables are built |
 //! | `pingpong_bytes` | bytes the compiled program moves through the ping-pong (double-buffered) weight/activation banks for the layer — filled in from `geo_arch::perfsim::memory_traffic` by [`ProgramExecutor`](crate::ProgramExecutor) |
-//! | `conversions_skipped` | full-resolution normalize/convert operations the fused conv→pool step avoided (§III-A computation skipping): per pass, `n·cout·(oh·ow − poh·pow)` for each fused layer. Incremented at a serial point, so thread-count-invariant like every other counter. Zero on unfused layers. |
 //!
 //! All counters are exact integer sums and therefore **bit-identical at
 //! every thread count** (`crates/core/tests/telemetry_determinism.rs`).
@@ -110,9 +109,6 @@ pub struct LayerCounters {
     /// Bytes moved through ping-pong buffers for this layer (program
     /// execution only; zero for direct engine runs).
     pub pingpong_bytes: Counter,
-    /// Full-resolution conversions skipped by the fused conv→pool step
-    /// (§III-A); zero when the layer is not fused.
-    pub conversions_skipped: Counter,
     /// Accumulated wall-clock nanoseconds per [`Phase`].
     pub phase_ns: [Counter; 4],
 }
@@ -133,7 +129,6 @@ impl LayerCounters {
             table_misses: self.table_misses.get(),
             fault_events: self.fault_events.get(),
             pingpong_bytes: self.pingpong_bytes.get(),
-            conversions_skipped: self.conversions_skipped.get(),
             phase_ns: [
                 self.phase_ns[0].get(),
                 self.phase_ns[1].get(),
@@ -198,7 +193,6 @@ impl EngineTelemetry {
             dst.table_misses.add(src.table_misses.get());
             dst.fault_events.add(src.fault_events.get());
             dst.pingpong_bytes.add(src.pingpong_bytes.get());
-            dst.conversions_skipped.add(src.conversions_skipped.get());
             for (d, s) in dst.phase_ns.iter().zip(&src.phase_ns) {
                 d.add(s.get());
             }
@@ -242,8 +236,6 @@ pub struct LayerTelemetry {
     pub fault_events: u64,
     /// Bytes moved through ping-pong buffers.
     pub pingpong_bytes: u64,
-    /// Full-resolution conversions skipped by conv→pool fusion (§III-A).
-    pub conversions_skipped: u64,
     /// Wall-clock nanoseconds per [`Phase`] (indexed by
     /// [`Phase::index`]).
     pub phase_ns: [u64; 4],
@@ -259,7 +251,6 @@ impl LayerTelemetry {
         self.table_misses += other.table_misses;
         self.fault_events += other.fault_events;
         self.pingpong_bytes += other.pingpong_bytes;
-        self.conversions_skipped += other.conversions_skipped;
         for (a, b) in self.phase_ns.iter_mut().zip(other.phase_ns) {
             *a += b;
         }
@@ -268,7 +259,7 @@ impl LayerTelemetry {
     /// The deterministic (counter-only) projection used by the
     /// determinism tests: every field except the wall-clock phase times.
     #[must_use]
-    pub fn counters(&self) -> [u64; 8] {
+    pub fn counters(&self) -> [u64; 7] {
         [
             self.macs,
             self.compacted_lanes,
@@ -277,7 +268,6 @@ impl LayerTelemetry {
             self.table_misses,
             self.fault_events,
             self.pingpong_bytes,
-            self.conversions_skipped,
         ]
     }
 
@@ -287,7 +277,7 @@ impl LayerTelemetry {
             out,
             "\"macs\": {}, \"compacted_lanes\": {}, \"skipped_zero_lanes\": {}, \
              \"table_hits\": {}, \"table_misses\": {}, \"fault_events\": {}, \
-             \"pingpong_bytes\": {}, \"conversions_skipped\": {}",
+             \"pingpong_bytes\": {}",
             self.macs,
             self.compacted_lanes,
             self.skipped_zero_lanes,
@@ -295,7 +285,6 @@ impl LayerTelemetry {
             self.table_misses,
             self.fault_events,
             self.pingpong_bytes,
-            self.conversions_skipped,
         );
         for phase in Phase::ALL {
             let ms = self.phase_ns[phase.index()] as f64 / 1e6;
@@ -388,7 +377,6 @@ mod tests {
                     table_misses: 5,
                     fault_events: 0,
                     pingpong_bytes: 128,
-                    conversions_skipped: 12,
                     phase_ns: [1_000_000, 0, 2_000_000, 0],
                 },
                 LayerTelemetry {
@@ -399,7 +387,6 @@ mod tests {
                     table_misses: 1,
                     fault_events: 2,
                     pingpong_bytes: 64,
-                    conversions_skipped: 0,
                     phase_ns: [0, 500_000, 0, 250_000],
                 },
             ],
@@ -416,7 +403,6 @@ mod tests {
         assert_eq!(t.table_misses, 6);
         assert_eq!(t.fault_events, 2);
         assert_eq!(t.pingpong_bytes, 192);
-        assert_eq!(t.conversions_skipped, 12);
         assert_eq!(t.phase_ns, [1_000_000, 500_000, 2_000_000, 250_000]);
     }
 
@@ -435,7 +421,6 @@ mod tests {
             "\"table_misses\"",
             "\"fault_events\"",
             "\"pingpong_bytes\"",
-            "\"conversions_skipped\"",
             "\"resolve_ms\"",
             "\"convert_ms\"",
             "\"compute_ms\"",

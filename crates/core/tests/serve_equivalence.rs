@@ -10,7 +10,9 @@
 //! same bits and telemetry totals as unbatched single requests.
 
 use geo_core::{Accumulation, GeoConfig, ScEngine, ScServer, ServeConfig};
-use geo_nn::{models, Sequential, Tensor};
+use geo_nn::{
+    models, AvgPool2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, Sequential, Tensor,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,11 +20,29 @@ use rayon::ThreadPoolBuilder;
 use std::sync::Arc;
 
 /// The two paper models at thumbnail scale: LeNet-5 (1×8×8 input) and
-/// CNN-4 (3×8×8 input).
+/// CNN-4 (3×8×8 input). Cases 2 and 3 stack a second pool behind a
+/// conv's average pool — `Conv → AvgPool → {AvgPool, MaxPool} → Flatten
+/// → Linear` — so a pool can also consume an already-pooled tensor.
 fn paper_model(which: usize, seed: u64) -> (Sequential, Vec<usize>) {
     match which {
         0 => (models::lenet5(1, 8, 10, seed), vec![2, 1, 8, 8]),
-        _ => (models::cnn4(3, 8, 10, seed), vec![2, 3, 8, 8]),
+        1 => (models::cnn4(3, 8, 10, seed), vec![2, 3, 8, 8]),
+        _ => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let second_pool = if which == 2 {
+                Layer::AvgPool2d(AvgPool2d::new())
+            } else {
+                Layer::MaxPool2d(MaxPool2d::new())
+            };
+            let model = Sequential::new(vec![
+                Layer::Conv2d(Conv2d::new(1, 3, 3, 1, 1, false, &mut rng)),
+                Layer::AvgPool2d(AvgPool2d::new()),
+                second_pool,
+                Layer::Flatten(Flatten::new()),
+                Layer::Linear(Linear::new(12, 4, &mut rng)),
+            ]);
+            (model, vec![2, 1, 8, 8])
+        }
     }
 }
 
@@ -94,12 +114,12 @@ proptest! {
     }
 }
 
-/// Exhaustive sweep at fixed thread counts: both models under all five
-/// accumulation modes and both generation modes, prepared vs. direct at
-/// 1 and 4 workers.
+/// Exhaustive sweep at fixed thread counts: both models and both
+/// stacked-pool topologies under all five accumulation modes and both
+/// generation modes, prepared vs. direct at 1 and 4 workers.
 #[test]
 fn every_mode_matches_direct_at_fixed_thread_counts() {
-    for which in 0..2 {
+    for which in 0..4 {
         for mode in Accumulation::ALL {
             for progressive in [false, true] {
                 let cfg = GeoConfig::geo(32, 64)
@@ -118,6 +138,73 @@ fn every_mode_matches_direct_at_fixed_thread_counts() {
     }
 }
 
+/// A no-pad 3×3 conv turns a 5×5 input into a 3×3 map, which the 2×2
+/// average pool rejects: the direct forward and the prepare both fail
+/// with the same error, naming the even-size requirement.
+#[test]
+fn odd_pool_input_errors_identically_direct_and_prepared() {
+    let model = || {
+        let mut rng = StdRng::seed_from_u64(3);
+        Sequential::new(vec![
+            Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 0, false, &mut rng)),
+            Layer::AvgPool2d(AvgPool2d::new()),
+        ])
+    };
+    let x = Tensor::full(&[1, 1, 5, 5], 0.5);
+    let cfg = GeoConfig::geo(16, 32);
+    let direct = ScEngine::new(cfg)
+        .expect("valid config")
+        .forward(&mut model(), &x, false)
+        .expect_err("odd pool input must fail")
+        .to_string();
+    let prepared = ScEngine::new(cfg)
+        .expect("valid config")
+        .prepare(&model(), x.shape())
+        .err()
+        .expect("odd pool input must fail to prepare")
+        .to_string();
+    assert_eq!(direct, prepared, "direct and prepared errors diverged");
+    assert!(direct.contains("even"), "unexpected error: {direct}");
+}
+
+/// Training passes run each SC layer through the same prepare and step
+/// code as inference, so on a network whose float layers agree between
+/// the two modes (no batch norm) a training forward is bit-identical to
+/// an inference forward, for every accumulation mode at 1 and 4
+/// workers.
+#[test]
+fn training_forward_is_bit_identical_to_inference() {
+    let forward = |threads: usize, cfg: GeoConfig, training: bool| {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("shim pool construction never fails");
+        pool.install(|| {
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut model = Sequential::new(vec![
+                Layer::Conv2d(Conv2d::new(2, 4, 3, 1, 1, false, &mut rng)),
+                Layer::Relu(Relu::new()),
+                Layer::AvgPool2d(AvgPool2d::new()),
+                Layer::Flatten(Flatten::new()),
+                Layer::Linear(Linear::new(64, 5, &mut rng)),
+            ]);
+            let x = input(&[3, 2, 8, 8], 0xD1CE);
+            let mut engine = ScEngine::new(cfg).expect("valid config");
+            bits(&engine.forward(&mut model, &x, training).expect("forward"))
+        })
+    };
+    for mode in Accumulation::ALL {
+        let cfg = GeoConfig::geo(16, 32).with_accumulation(mode);
+        for threads in [1, 4] {
+            assert_eq!(
+                forward(threads, cfg, true),
+                forward(threads, cfg, false),
+                "{mode:?}: training diverged from inference at {threads} threads"
+            );
+        }
+    }
+}
+
 /// One serve run: `clients` threads each submit `per_client` distinct
 /// requests through a shared server and collect (input id, output bits).
 /// Returns the sorted transcript plus the prepared model's telemetry
@@ -128,7 +215,7 @@ fn serve_run(
     clients: usize,
     per_client: usize,
     shape: &[usize],
-) -> (Vec<(usize, Vec<u32>)>, [u64; 8]) {
+) -> (Vec<(usize, Vec<u32>)>, [u64; 7]) {
     let server = Arc::new(ScServer::spawn(Arc::clone(prepared), serve_cfg).expect("spawn"));
     let mut transcript: Vec<(usize, Vec<u32>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -162,7 +249,7 @@ fn serve_run(
     });
     transcript.sort_by_key(|(id, _)| *id);
     let report = prepared.telemetry_report();
-    let mut totals = [0u64; 8];
+    let mut totals = [0u64; 7];
     for layer in &report.layers {
         for (t, c) in totals.iter_mut().zip(layer.counters()) {
             *t += c;
