@@ -45,8 +45,6 @@ pub mod progressive_timing;
 pub mod report;
 pub mod tech;
 
-pub use geo_sc::telemetry;
-
 pub use accel::{AccelConfig, Category, Optimizations};
 pub use artifact::{ArtifactError, ProgramArtifact};
 pub use asm::{assemble, disassemble, AsmError, AsmErrorKind};

@@ -235,10 +235,9 @@ impl LayerTraffic {
 
 /// Per-layer memory traffic of a compiled program, in layer order.
 ///
-/// Always available (no `telemetry` feature needed): the byte counts are
-/// static properties of the program, not runtime counters. The program
-/// executor in `geo-core` merges these into its telemetry report as
-/// `pingpong_bytes`.
+/// The byte counts are static properties of the program, not runtime
+/// counters. The program executor in `geo-core` merges these into its
+/// telemetry report as `pingpong_bytes`.
 #[must_use]
 pub fn memory_traffic(program: &Program) -> Vec<LayerTraffic> {
     (0..program.layer_count())

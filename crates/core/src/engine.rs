@@ -67,7 +67,7 @@
 use crate::config::{Accumulation, GeoConfig};
 use crate::error::GeoError;
 use crate::tables::{ProgressiveTable, TableCache};
-use crate::telemetry::{self, EngineTelemetry, LayerCounters, Phase, Stopwatch, TelemetryReport};
+use crate::telemetry::{EngineTelemetry, LayerCounters, Phase, Stopwatch, TelemetryReport};
 use geo_nn::{Conv2d, Layer, Linear, Sequential, Tensor};
 use geo_sc::fault::{FaultCounters, FaultInjector, FaultModel};
 use geo_sc::{quantize_unipolar, Bitstream, KernelDims, SeedPlan, StreamTable};
@@ -326,6 +326,10 @@ struct CompactKernel {
     flags: Vec<u8>,
     /// Row `r`'s lanes are SoA indices `offsets[r]..offsets[r + 1]`.
     offsets: Vec<usize>,
+    /// Rows that keep lane index `l` (`lanes_per_row` entries) — the
+    /// per-row MAC count weighs each lane index's live activations by
+    /// this (DESIGN.md §12).
+    users: Vec<u64>,
     /// Per-row position-major stream words: row `r` starts at
     /// `offsets[r]·2·words` and holds `n·words` positive words
     /// (`[j·n + i]`) followed by `n·words` negative words.
@@ -369,6 +373,7 @@ impl CompactKernel {
             group: Vec::with_capacity(nonzero),
             flags: Vec::with_capacity(nonzero),
             offsets: Vec::with_capacity(rows + 1),
+            users: vec![0; lanes_per_row],
             words_buf: Vec::with_capacity(nonzero * 2 * words),
             words,
             pos_aoff: Vec::new(),
@@ -412,6 +417,7 @@ impl CompactKernel {
                     k.neg_w.extend_from_slice(nw);
                 }
                 row_streams.push((pw, nw));
+                k.users[l] += 1;
                 k.lane.push(l);
                 k.aoff.push(aoff);
                 k.group.push(wref.group as u32);
@@ -654,8 +660,7 @@ struct ActBuf {
     /// unit (`acts[u·words + j]`), zeroed for skipped (level-0 or
     /// out-of-bounds) units.
     acts: Vec<u64>,
-    /// Per-unit nonzero-activation flags (0/1) — APC gating and MAC
-    /// telemetry.
+    /// Per-unit nonzero-activation flags (0/1) — APC gating.
     nz: Vec<u8>,
     /// Per-output-column count of zero (level-0 or out-of-bounds) units
     /// across every kernel position (conv: `ow` entries; linear: one).
@@ -685,10 +690,6 @@ struct PixelBuf {
     /// Grouped accumulators (`groups·words`), Pbw/Pbhw (and multiword Or).
     acc_pos: Vec<u64>,
     acc_neg: Vec<u64>,
-    /// MACs folded since the last telemetry flush. Local (non-atomic) so
-    /// the hot loop pays one integer add per pixel; flushed to the
-    /// layer's shared counter once per output row.
-    macs: u64,
 }
 
 impl PixelBuf {
@@ -698,7 +699,6 @@ impl PixelBuf {
             prod_neg: vec![0u64; max_row_lanes * words],
             acc_pos: vec![0u64; groups * words],
             acc_neg: vec![0u64; groups * words],
-            macs: 0,
         }
     }
 }
@@ -1224,10 +1224,15 @@ impl PreparedConv {
     /// and masking, rather than skipping the level-0 table read, matches
     /// the reference kernels' skip semantics exactly even when fault
     /// injection corrupts a table's level-0 stream.
-    fn gather_row(&self, b: usize, oy: usize, levels: &[u32], act: &mut ActBuf) {
+    ///
+    /// Returns the row's MAC count: kernel position `l` has `live` kept
+    /// columns, each read by the [`CompactKernel::users`]`[l]` channels
+    /// that keep lane `l`.
+    fn gather_row(&self, b: usize, oy: usize, levels: &[u32], act: &mut ActBuf) -> u64 {
         let words = self.words;
         let ActBuf { acts, nz, zeros } = act;
         zeros.fill(0);
+        let mut macs = 0u64;
         for l in 0..self.volume {
             let dst_a = &mut acts[l * self.ow * words..][..self.ow * words];
             let dst_n = &mut nz[l * self.ow..][..self.ow];
@@ -1243,6 +1248,7 @@ impl PreparedConv {
             let rbase = ((b * self.cin + self.pos_ci[l] as usize) * self.h + iy as usize) * self.w;
             let ao = self.pos_ao[l] as usize;
             let kx = self.pos_kx[l] as isize - self.pad as isize;
+            let mut live = 0u64;
             if words == 1 {
                 for (ox, ((a, z), zc)) in dst_a
                     .iter_mut()
@@ -1260,6 +1266,7 @@ impl PreparedConv {
                     *a = self.act_flat[ao + lv] & keep.wrapping_neg();
                     *z = keep as u8;
                     *zc += 1 - keep as u32;
+                    live += keep;
                 }
             } else {
                 for ox in 0..self.ow {
@@ -1277,9 +1284,12 @@ impl PreparedConv {
                     }
                     dst_n[ox] = keep as u8;
                     zeros[ox] += 1 - keep as u32;
+                    live += keep;
                 }
             }
+            macs += self.compact.users[l] * live;
         }
+        macs
     }
 
     /// Computes one spatial output row (`b`, `oy` fixed; all `co`, `ox`),
@@ -1298,7 +1308,7 @@ impl PreparedConv {
         let b = row / self.oh.max(1);
         let ck = &self.compact;
         let Scratch { act, pix } = scratch;
-        self.gather_row(b, oy, &batch.levels, act);
+        tel.macs.add(self.gather_row(b, oy, &batch.levels, act));
         for (co, out_row) in chunk.chunks_mut(self.ow.max(1)).enumerate() {
             let range = ck.row_range(co);
             let (pos_aoff, pos_w) = ck.row_pos_list(co);
@@ -1317,18 +1327,7 @@ impl PreparedConv {
             };
             for (ox, out_v) in out_row.iter_mut().enumerate() {
                 *out_v = M::pixel(pix, &view, act, ox, self.words) as f32 / self.len as f32;
-                if telemetry::enabled() {
-                    pix.macs += view
-                        .aoff
-                        .iter()
-                        .map(|&o| u64::from(act.nz[o as usize + ox]))
-                        .sum::<u64>();
-                }
             }
-        }
-        if telemetry::enabled() {
-            tel.macs.add(pix.macs);
-            pix.macs = 0;
         }
         scratch.debug_check();
     }
@@ -1360,7 +1359,20 @@ impl PreparedLinear {
     /// dispatch overhead is paid once per worker. Chunk geometry cannot
     /// affect the numerics — each neuron is a pure function of its row
     /// index — so this stays bit-identical at every thread count.
+    ///
+    /// MACs are counted serially up front: each nonzero activation is
+    /// read by the [`CompactKernel::users`] neurons that keep its lane.
     fn compute(&self, batch: &ActBatch, tel: &LayerCounters) -> Tensor {
+        let users = &self.compact.users;
+        tel.macs.add(
+            batch
+                .levels
+                .chunks(self.features.max(1))
+                .flat_map(|row| row.iter().zip(users))
+                .filter(|(&lv, _)| lv != 0)
+                .map(|(_, &u)| u)
+                .sum(),
+        );
         let mut out = Tensor::zeros(&[batch.n, self.outf]);
         let total = batch.n * self.outf;
         let chunk_rows = total.div_ceil(rayon::current_num_threads().max(1)).max(1);
@@ -1384,10 +1396,6 @@ impl PreparedLinear {
                         Accumulation::Apc => {
                             self.compute_chunk::<ApcKernel>(start, chunk, batch, scratch)
                         }
-                    }
-                    if telemetry::enabled() {
-                        tel.macs.add(scratch.pix.macs);
-                        scratch.pix.macs = 0;
                     }
                     scratch.debug_check();
                 },
@@ -1455,13 +1463,6 @@ impl PreparedLinear {
                 neg_w,
             };
             *out_v = M::pixel(pix, &view, act, 0, self.words) as f32 / self.len as f32;
-            if telemetry::enabled() {
-                pix.macs += view
-                    .aoff
-                    .iter()
-                    .map(|&of| u64::from(act.nz[of as usize]))
-                    .sum::<u64>();
-            }
         }
     }
 }
@@ -1555,10 +1556,8 @@ impl ScEngine {
     /// accumulated since creation (or the last
     /// [`ScEngine::reset_telemetry`]).
     ///
-    /// All-zero unless the crate is built with the `telemetry` feature
-    /// (see [`crate::telemetry::enabled`]). Counters cover both the
-    /// compacted and reference compute paths, which execute the identical
-    /// MAC set by construction.
+    /// Counters cover both the compacted and reference compute paths,
+    /// which count the identical MAC set (DESIGN.md §12).
     pub fn telemetry_report(&self) -> TelemetryReport {
         self.telemetry.report("sc-engine")
     }
@@ -1739,11 +1738,9 @@ impl ScEngine {
                 other => {
                     let sw = Stopwatch::start();
                     x = other.forward(&x)?;
-                    if telemetry::enabled() {
-                        telemetry
-                            .layer(param_layer.saturating_sub(1) as usize)
-                            .add_phase_ns(Phase::NearMem, sw.elapsed_ns());
-                    }
+                    telemetry
+                        .layer(param_layer.saturating_sub(1) as usize)
+                        .add_phase_ns(Phase::NearMem, sw.elapsed_ns());
                 }
             }
         }
@@ -1857,21 +1854,18 @@ impl ScEngine {
         // holds `&self`, so it cannot grow the vector on first use. Near-
         // memory steps attribute to `tel_layer`, which can reach index 0
         // even in a network with no parametrized layers.
-        telemetry.ensure_layers(param_layer as usize);
-        if telemetry::enabled() {
-            let near_mem = steps
-                .iter()
-                .filter_map(|s| match s {
-                    PreparedStep::BatchNorm { tel_layer, .. }
-                    | PreparedStep::AvgPool { tel_layer }
-                    | PreparedStep::MaxPool { tel_layer }
-                    | PreparedStep::Flatten { tel_layer } => Some(*tel_layer + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            telemetry.ensure_layers(near_mem);
-        }
+        let near_mem = steps
+            .iter()
+            .filter_map(|s| match s {
+                PreparedStep::BatchNorm { tel_layer, .. }
+                | PreparedStep::AvgPool { tel_layer }
+                | PreparedStep::MaxPool { tel_layer }
+                | PreparedStep::Flatten { tel_layer } => Some(*tel_layer + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        telemetry.ensure_layers(near_mem.max(param_layer as usize));
         Ok(PreparedModel {
             config: self.config,
             input_shape: input_shape.to_vec(),
@@ -2291,9 +2285,8 @@ mod reference {
         apc_neg: Vec<Bitstream>,
         /// MACs accumulated since the last telemetry flush; *not* cleared
         /// by the per-pixel [`RefScratch::reset`]. One accumulate call per
-        /// surviving lane, the same MAC definition the compacted path
-        /// counts — the two paths skip the identical lane set, so their
-        /// totals are provably equal.
+        /// surviving lane — the oracle the compacted path's per-row count
+        /// is checked against.
         macs: u64,
     }
 
@@ -2350,9 +2343,7 @@ mod reference {
         len: usize,
         scratch: &mut RefScratch,
     ) {
-        if telemetry::enabled() {
-            scratch.macs += 1;
-        }
+        scratch.macs += 1;
         let g = wref.group;
         match mode {
             Accumulation::Or | Accumulation::Pbw | Accumulation::Pbhw => {
@@ -2426,10 +2417,8 @@ mod reference {
                         {
                             record_error(&first_err, err);
                         }
-                        if telemetry::enabled() {
-                            tel.macs.add(scratch.macs);
-                            scratch.macs = 0;
-                        }
+                        tel.macs.add(scratch.macs);
+                        scratch.macs = 0;
                     },
                 );
             if let Some(err) = first_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
@@ -2508,10 +2497,8 @@ mod reference {
                     {
                         record_error(&first_err, err);
                     }
-                    if telemetry::enabled() {
-                        tel.macs.add(scratch.macs);
-                        scratch.macs = 0;
-                    }
+                    tel.macs.add(scratch.macs);
+                    scratch.macs = 0;
                 },
             );
             if let Some(err) = first_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
@@ -2569,9 +2556,6 @@ struct ResolveStats {
 
 impl ResolveStats {
     fn apply(&self, tel: &LayerCounters) {
-        if !telemetry::enabled() {
-            return;
-        }
         tel.add_phase_ns(Phase::Resolve, self.resolve_ns);
         tel.table_hits.add(self.table_hits);
         tel.table_misses.add(self.table_misses);
@@ -2594,12 +2578,10 @@ fn record_prepare_faults(
         return;
     }
     let delta = cache.fault_counters().delta_since(&before);
-    if telemetry::enabled() {
-        telemetry_block
-            .layer(param_layer as usize)
-            .fault_events
-            .add(delta.total());
-    }
+    telemetry_block
+        .layer(param_layer as usize)
+        .fault_events
+        .add(delta.total());
     resilience.record(param_layer, delta);
 }
 
@@ -2783,15 +2765,13 @@ impl PreparedStep {
 }
 
 /// Runs `f`, adding its wall-clock time to `phase` of telemetry layer
-/// `layer` when telemetry is enabled (the block is only touched then).
+/// `layer`.
 fn timed<T>(telemetry: &EngineTelemetry, layer: usize, phase: Phase, f: impl FnOnce() -> T) -> T {
     let sw = Stopwatch::start();
     let out = f();
-    if telemetry::enabled() {
-        telemetry
-            .layer_shared(layer)
-            .add_phase_ns(phase, sw.elapsed_ns());
-    }
+    telemetry
+        .layer_shared(layer)
+        .add_phase_ns(phase, sw.elapsed_ns());
     out
 }
 
@@ -2860,8 +2840,7 @@ impl PreparedModel {
     }
 
     /// Snapshot of the telemetry accumulated by the prepare pass and
-    /// every forward served since. All-zero unless the crate is built
-    /// with the `telemetry` feature.
+    /// every forward served since.
     pub fn telemetry_report(&self) -> TelemetryReport {
         self.telemetry.report("prepared-model")
     }
@@ -3205,18 +3184,14 @@ mod tests {
         reference.forward_reference(&mut model, &x, false).unwrap();
         let rc = compacted.telemetry_report();
         let rr = reference.telemetry_report();
-        if crate::telemetry::enabled() {
-            assert_eq!(rc.passes, 1);
-            assert!(rc.total().macs > 0);
-            assert_eq!(rc.total().macs, rr.total().macs);
-            assert_eq!(rc.total().compacted_lanes, rr.total().compacted_lanes);
-            assert_eq!(
-                rc.layers.iter().map(|l| l.macs).collect::<Vec<_>>(),
-                rr.layers.iter().map(|l| l.macs).collect::<Vec<_>>()
-            );
-        } else {
-            assert_eq!(rc.total(), crate::telemetry::LayerTelemetry::default());
-        }
+        assert_eq!(rc.passes, 1);
+        assert!(rc.total().macs > 0);
+        assert_eq!(rc.total().macs, rr.total().macs);
+        assert_eq!(rc.total().compacted_lanes, rr.total().compacted_lanes);
+        assert_eq!(
+            rc.layers.iter().map(|l| l.macs).collect::<Vec<_>>(),
+            rr.layers.iter().map(|l| l.macs).collect::<Vec<_>>()
+        );
         compacted.reset_telemetry();
         assert!(compacted.telemetry_report().layers.is_empty());
     }
@@ -3276,9 +3251,7 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>(),
         );
-        if crate::telemetry::enabled() {
-            assert_eq!(prepared.telemetry_report().passes, 2);
-        }
+        assert_eq!(prepared.telemetry_report().passes, 2);
         // A batch with the wrong spatial geometry is rejected up front.
         assert!(prepared.forward(&Tensor::full(&[1, 1, 6, 6], 0.4)).is_err());
     }

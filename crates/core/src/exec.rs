@@ -192,9 +192,7 @@ impl ProgramExecutor {
     /// construction), so the merge is positional.
     ///
     /// The byte counts are static program properties scaled by the pass
-    /// count, so they are populated even without the `telemetry` feature
-    /// (where the runtime counters read zero and the traffic reflects a
-    /// single inference).
+    /// count.
     pub fn telemetry_report(&self) -> crate::telemetry::TelemetryReport {
         let mut report = self.engine.telemetry_report();
         report.source = format!("program:{}", self.program.name);
@@ -204,9 +202,8 @@ impl ProgramExecutor {
                 .layers
                 .resize(traffic.len(), crate::telemetry::LayerTelemetry::default());
         }
-        let passes = report.passes.max(1);
         for (layer, t) in report.layers.iter_mut().zip(&traffic) {
-            layer.pingpong_bytes = t.pingpong_bytes().saturating_mul(passes);
+            layer.pingpong_bytes = t.pingpong_bytes().saturating_mul(report.passes);
         }
         report
     }
@@ -619,12 +616,8 @@ mod tests {
         assert_eq!(report.source, "program:lenet5-thumb");
         assert_eq!(report.layers.len(), exec.stream_lens().len());
         assert!(report.layers.iter().any(|l| l.pingpong_bytes > 0));
-        if crate::telemetry::enabled() {
-            assert_eq!(report.passes, 1);
-            assert!(report.total().macs > 0);
-        } else {
-            assert_eq!(report.total().macs, 0);
-        }
+        assert_eq!(report.passes, 1);
+        assert!(report.total().macs > 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-layer telemetry for the SC pipeline: counters, phase timers, and
 //! the hierarchical [`TelemetryReport`] they snapshot into.
 //!
-//! The primitives ([`Counter`], [`Stopwatch`], [`enabled`]) live in
-//! [`geo_sc::telemetry`] and are re-exported here; this module adds the
+//! The primitives ([`Counter`], [`Stopwatch`]) live in
+//! [`geo_sc::telemetry`] and are always live; this module adds the
 //! engine-level structure on top:
 //!
 //! * [`LayerCounters`] — one live counter block per parametrized
@@ -33,7 +33,7 @@
 use geo_sc::telemetry::Counter;
 use std::fmt;
 
-pub use geo_sc::telemetry::{enabled, Stopwatch};
+pub use geo_sc::telemetry::Stopwatch;
 
 /// Pipeline phases a layer's wall-clock time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,12 +438,8 @@ mod tests {
         t.layer(0).compacted_lanes.add(2);
         let report = t.report("unit");
         assert_eq!(report.layers.len(), 2);
-        if enabled() {
-            assert_eq!(report.layers[1].macs, 5);
-            assert_eq!(report.layers[0].compacted_lanes, 2);
-        } else {
-            assert_eq!(report.total(), LayerTelemetry::default());
-        }
+        assert_eq!(report.layers[1].macs, 5);
+        assert_eq!(report.layers[0].compacted_lanes, 2);
         t.reset();
         assert!(t.report("unit").layers.is_empty());
     }
@@ -461,12 +457,10 @@ mod tests {
         dst.absorb(&src);
         let report = dst.report("unit");
         assert_eq!(report.layers.len(), 2);
-        if enabled() {
-            assert_eq!(report.passes, 3);
-            assert_eq!(report.layers[0].macs, 7);
-            assert_eq!(report.layers[1].table_hits, 2);
-            assert_eq!(report.layers[1].phase_ns[Phase::Compute.index()], 7);
-        }
+        assert_eq!(report.passes, 3);
+        assert_eq!(report.layers[0].macs, 7);
+        assert_eq!(report.layers[1].table_hits, 2);
+        assert_eq!(report.layers[1].phase_ns[Phase::Compute.index()], 7);
     }
 
     #[test]

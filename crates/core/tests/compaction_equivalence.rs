@@ -8,7 +8,10 @@
 //! generation mode, RNG kind, kernel geometry (including `pad >= k`),
 //! and 1–8 worker threads — plus staircase-sparsity models whose rows
 //! compact to exactly 0..=9 lanes, exercising every remainder path of
-//! the SWAR multi-lane kernels (DESIGN.md §14).
+//! the SWAR multi-lane kernels (DESIGN.md §14). Every case also pins the
+//! per-layer `macs`, `compacted_lanes` and `skipped_zero_lanes` counters
+//! equal between the two paths: the compacted kernels count MACs once
+//! per row, the reference kernels once per accumulate (DESIGN.md §12).
 //!
 //! Both engines are built fresh *inside* the same thread-pool scope so
 //! TRNG tables (re-seeded per forward pass) see identical pass counters
@@ -75,21 +78,36 @@ fn staircase(t: &Tensor, row_len: usize) -> Tensor {
     out
 }
 
+/// One engine's forward pass: the raw output bit patterns and, per
+/// parametrized layer, its `[macs, compacted_lanes, skipped_zero_lanes]`
+/// telemetry counters.
+struct Run {
+    bits: Vec<u32>,
+    counts: Vec<[u64; 3]>,
+}
+
+impl Run {
+    fn of(engine: &ScEngine, out: &Tensor) -> Run {
+        Run {
+            bits: out.data().iter().map(|v| v.to_bits()).collect(),
+            counts: engine
+                .telemetry_report()
+                .layers
+                .iter()
+                .map(|l| [l.macs, l.compacted_lanes, l.skipped_zero_lanes])
+                .collect(),
+        }
+    }
+}
+
 /// Runs the compacted path and the pre-compaction reference path on fresh
-/// engines under a pool of `threads` workers, returning both raw output
-/// bit patterns.
-fn forward_both(
-    threads: usize,
-    cfg: GeoConfig,
-    model: &Sequential,
-    x: &Tensor,
-) -> (Vec<u32>, Vec<u32>) {
+/// engines under a pool of `threads` workers, returning both runs.
+fn forward_both(threads: usize, cfg: GeoConfig, model: &Sequential, x: &Tensor) -> (Run, Run) {
     let pool = ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("shim pool construction never fails");
     pool.install(|| {
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let mut ref_model = model.clone();
         let mut ref_engine = ScEngine::new(cfg).expect("valid config");
         let reference = ref_engine
@@ -100,7 +118,10 @@ fn forward_both(
         let compacted = new_engine
             .forward(&mut new_model, x, false)
             .expect("compacted forward");
-        (bits(&reference), bits(&compacted))
+        (
+            Run::of(&ref_engine, &reference),
+            Run::of(&new_engine, &compacted),
+        )
     })
 }
 
@@ -131,8 +152,12 @@ proptest! {
         let (model, x) = conv_model(seed, k, stride, pad);
         let (reference, compacted) = forward_both(threads, cfg, &model, &x);
         prop_assert_eq!(
-            reference, compacted,
+            reference.bits, compacted.bits,
             "k={} stride={} pad={} threads={} diverged", k, stride, pad, threads
+        );
+        prop_assert_eq!(
+            reference.counts, compacted.counts,
+            "k={} stride={} pad={} threads={} counters diverged", k, stride, pad, threads
         );
     }
 
@@ -168,8 +193,13 @@ proptest! {
             .with_progressive(progressive);
         let (reference, compacted) = forward_both(threads, cfg, &model, &x);
         prop_assert_eq!(
-            reference, compacted,
+            reference.bits, compacted.bits,
             "mode={:?} threads={} two_words={} diverged",
+            Accumulation::ALL[mode_idx], threads, two_words
+        );
+        prop_assert_eq!(
+            reference.counts, compacted.counts,
+            "mode={:?} threads={} two_words={} counters diverged",
             Accumulation::ALL[mode_idx], threads, two_words
         );
     }
@@ -194,8 +224,12 @@ proptest! {
             .with_progressive(progressive);
         let (reference, compacted) = forward_both(threads, cfg, &model, &x);
         prop_assert_eq!(
-            reference, compacted,
+            reference.bits, compacted.bits,
             "outf={} threads={} diverged", outf, threads
+        );
+        prop_assert_eq!(
+            reference.counts, compacted.counts,
+            "outf={} threads={} counters diverged", outf, threads
         );
     }
 }
@@ -216,8 +250,12 @@ fn pad_exceeding_kernel_matches_reference_for_every_mode() {
             for threads in [1, 2, 8] {
                 let (reference, compacted) = forward_both(threads, cfg, &model, &x);
                 assert_eq!(
-                    reference, compacted,
+                    reference.bits, compacted.bits,
                     "{mode:?} progressive={progressive} diverged at {threads} threads"
+                );
+                assert_eq!(
+                    reference.counts, compacted.counts,
+                    "{mode:?} progressive={progressive} counters diverged at {threads} threads"
                 );
             }
         }
@@ -238,8 +276,12 @@ fn kernel_larger_than_input_matches_reference() {
         for threads in [1, 4] {
             let (reference, compacted) = forward_both(threads, cfg, &model, &x);
             assert_eq!(
-                reference, compacted,
+                reference.bits, compacted.bits,
                 "{mode:?} diverged at {threads} threads"
+            );
+            assert_eq!(
+                reference.counts, compacted.counts,
+                "{mode:?} counters diverged at {threads} threads"
             );
         }
     }

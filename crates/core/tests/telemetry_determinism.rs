@@ -9,7 +9,6 @@
 //!
 //! Only the counter projection ([`LayerTelemetry::counters`]) is under
 //! contract; the wall-clock `phase_ns` fields are explicitly excluded.
-#![cfg(feature = "telemetry")]
 
 use geo_core::telemetry::LayerTelemetry;
 use geo_core::{Accumulation, GeoConfig, ScEngine};

@@ -1,48 +1,28 @@
-//! Shared telemetry primitives: cheap atomic counters and scoped
-//! stopwatches that compile to **true no-ops** unless the `telemetry`
-//! cargo feature is enabled.
+//! Shared telemetry primitives: relaxed atomic counters and scoped
+//! stopwatches, always live.
 //!
 //! Every layer of the stack (engine resolve/compute, program execution,
 //! the performance simulator, bench harnesses) attributes its work
-//! through these two types, so the instrumentation has one on/off switch
-//! and one cost model:
+//! through these two types, so the instrumentation has one cost model:
 //!
-//! * [`Counter`] — a relaxed [`AtomicU64`](std::sync::atomic::AtomicU64).
-//!   Totals are exact integer sums, so they are **bit-identical at every
-//!   thread count** regardless of scheduling (addition is commutative);
-//!   hot loops accumulate into a local `u64` and flush once per row, so
-//!   the atomic is touched a handful of times per layer, not per MAC.
+//! * [`Counter`] — a relaxed [`AtomicU64`]. Totals are exact integer
+//!   sums, so they are **bit-identical at every thread count** regardless
+//!   of scheduling (addition is commutative); hot loops accumulate into a
+//!   local `u64` and flush once per row, so the atomic is touched a
+//!   handful of times per layer, not per MAC.
 //! * [`Stopwatch`] — wall-clock phase timing. Times are *not* part of any
 //!   determinism contract (they measure the host), only the counters are.
 //!
-//! With the feature **disabled** both types are field-less, every method
-//! body is empty or constant, and [`enabled`] is `const false` — callers
-//! guard per-iteration bookkeeping with `if telemetry::enabled() { … }`
-//! so the optimizer removes it entirely. The `bench_forward` trajectory
-//! numbers are recorded with the feature off, which is the "zero
-//! overhead when off" claim DESIGN.md §12 makes precise.
+//! DESIGN.md §12 gives the counting rules that keep the always-on cost
+//! inside benchmark noise.
 
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "telemetry")]
 use std::time::Instant;
 
-/// Whether telemetry is compiled in (`telemetry` cargo feature).
-///
-/// `const`, so `if enabled() { … }` blocks vanish from release builds
-/// when the feature is off.
-#[must_use]
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
-}
-
-/// A monotonically increasing event counter.
-///
-/// Relaxed atomic when telemetry is compiled in; a zero-sized no-op
-/// otherwise. See the module docs for the determinism argument.
+/// A monotonically increasing event counter (a relaxed atomic). See the
+/// module docs for the determinism argument.
 #[derive(Debug, Default)]
 pub struct Counter {
-    #[cfg(feature = "telemetry")]
     value: AtomicU64,
 }
 
@@ -51,7 +31,6 @@ impl Counter {
     #[must_use]
     pub const fn new() -> Self {
         Counter {
-            #[cfg(feature = "telemetry")]
             value: AtomicU64::new(0),
         }
     }
@@ -59,10 +38,7 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "telemetry")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
     }
 
     /// Adds one event.
@@ -71,22 +47,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (always 0 with telemetry compiled out).
+    /// The current total.
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 
     /// Resets the counter to zero.
     pub fn reset(&self) {
-        #[cfg(feature = "telemetry")]
         self.value.store(0, Ordering::Relaxed);
     }
 }
@@ -95,10 +63,9 @@ impl Counter {
 ///
 /// [`Stopwatch::start`] then [`Stopwatch::elapsed_ns`]; typically the
 /// elapsed time is folded into a [`Counter`] holding accumulated
-/// nanoseconds. Zero-sized and always-zero with telemetry compiled out.
+/// nanoseconds.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    #[cfg(feature = "telemetry")]
     start: Instant,
 }
 
@@ -107,23 +74,14 @@ impl Stopwatch {
     #[must_use]
     pub fn start() -> Self {
         Stopwatch {
-            #[cfg(feature = "telemetry")]
             start: Instant::now(),
         }
     }
 
-    /// Nanoseconds elapsed since [`Stopwatch::start`] (saturating; 0 with
-    /// telemetry compiled out).
+    /// Nanoseconds elapsed since [`Stopwatch::start`] (saturating).
     #[must_use]
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        {
-            u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            0
-        }
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -132,15 +90,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates_iff_enabled() {
+    fn counter_accumulates_and_resets() {
         let c = Counter::new();
         c.add(3);
         c.incr();
-        if enabled() {
-            assert_eq!(c.get(), 4);
-        } else {
-            assert_eq!(c.get(), 0);
-        }
+        assert_eq!(c.get(), 4);
         c.reset();
         assert_eq!(c.get(), 0);
     }
@@ -151,12 +105,8 @@ mod tests {
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
         assert!(b >= a);
-        if !enabled() {
-            assert_eq!(b, 0);
-        }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn counter_sums_are_exact_across_threads() {
         use std::sync::Arc;

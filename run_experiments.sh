@@ -34,24 +34,19 @@ run table1     $B table1_accuracy -- --ablations > $R/table1.txt
 run ablations  $B ablation_sweeps                > $R/ablation_sweeps.txt
 run faults     $B fault_sweep                    > $R/fault_sweep.txt
 run scaling    $B thread_scaling                 > $R/thread_scaling.txt
-# Telemetry needs the feature flag (live counters), so it gets its own
-# cargo invocation; the artifact lands in results/telemetry_full.json.
-# Runs before the plain perf pass so the canonical feature-off
-# BENCH_forward.json is the one that survives. Both passes carry stable
-# --run-id labels: same-label history entries are replaced in place, so
-# re-running this script updates the trajectory points instead of
-# growing BENCH_forward.json's history.
-run telemetry  cargo run --release -q -p geo-bench --features telemetry \
-               --bin bench_forward -- --telemetry --run-id full-telemetry \
-               > $R/bench_forward_telemetry.txt
 # --artifact also saves each compiled program to $R/<model>.geoa,
 # reloads it through the validating from_artifact boundary, and asserts
 # the reloaded executor's outputs bit-identical (DESIGN.md §13).
 # --serve measures the compile-once, serve-many path (DESIGN.md §15):
 # per-inference cost, inf/sec, and p50/p99 at target batch 1/8/64, with
 # the batch-64-beats-batch-1 gate.
+# --telemetry writes the per-layer counter artifact
+# results/telemetry_full.json (DESIGN.md §12).
 # The workload matrix covers all three paper models — the VGG-16
-# (scaled) thumbnail rides every sub-pass (timing, serve, artifact) with
-# its own per-mode speedup floors.
-run perf+vgg16 $B bench_forward -- --artifact $R --serve --run-id full > $R/bench_forward.txt
+# (scaled) thumbnail rides every sub-pass (timing, serve, artifact,
+# telemetry) with its own per-mode speedup floors. The stable --run-id
+# replaces its history entry in place, so re-running this script updates
+# the trajectory point instead of growing BENCH_forward.json's history.
+run perf+vgg16 $B bench_forward -- --artifact $R --serve --telemetry --run-id full \
+               > $R/bench_forward.txt
 echo ALL_EXPERIMENTS_DONE
